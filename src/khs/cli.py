@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import serialize
 from .cube import khovanov_homology
@@ -294,6 +293,7 @@ def cmd_table(args) -> int:
                     jobs.append((f"line{i + 1}", pd_text, args.char,
                                  theta.kind))
     if args.threads > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(_table_row, jobs))
     else:

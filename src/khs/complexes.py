@@ -337,13 +337,6 @@ class DecomposedComplex:
     # surviving original generator indices per degree, in reduced order
     survivors: dict[int, list[int]]
     _steps: list[tuple] = field(default_factory=list, repr=False)
-    _orig: FilteredComplex | None = field(default=None, repr=False)
-
-    def a_pairs(self) -> list[tuple[int, int, int]]:
-        return [p for p in self.pairs if p[1] == p[2]]
-
-    def e_pairs(self) -> list[tuple[int, int, int]]:
-        return [p for p in self.pairs if p[1] != p[2]]
 
 
 def filtered_reduce(cx: FilteredComplex,
@@ -356,7 +349,7 @@ def filtered_reduce(cx: FilteredComplex,
     chain homotopy type on the nose).
     """
     ring = cx.ring
-    levels = {h: list(v) for h, v in cx.levels.items()}
+    levels = cx.levels
     # mutable sparse structure: out_[h][j] = {i: coeff}, in_[h+1][i] = {j: coeff}
     out_: dict[int, dict[int, Column]] = {}
     in_: dict[int, dict[int, Column]] = {}
@@ -367,57 +360,62 @@ def filtered_reduce(cx: FilteredComplex,
         for j, col in enumerate(cx.columns(h)):
             col = {i: v for i, v in col.items() if _nonzero(ring, v)}
             if col:
-                out_[h][j] = dict(col)
+                out_[h][j] = col
                 for i, v in col.items():
                     in_.setdefault(h + 1, {}).setdefault(i, {})[j] = v
 
-    def unit(v: Coeff) -> bool:
-        if ring == "gf2":
-            return int(v) % 2 == 1
-        if ring == "Q":
-            return bool(v)
-        return v in (1, -1)
+    if ring == "Z":
+        def unit(v: Coeff) -> bool:
+            return v in (1, -1)
+    else:  # stored entries are nonzero, hence invertible over a field
+        def unit(v: Coeff) -> bool:
+            return True
 
     pairs: list[tuple[int, int, int]] = []
     steps: list[tuple] = []
 
-    def jump_of(h: int, j: int, i: int) -> int:
-        return levels[h + 1][i] - levels[h][j]
-
     while True:
         # global rescan for the minimal jump among cancellable entries
         level = None
-        for h in out_:
-            for j, col in out_[h].items():
+        for h, out_h in out_.items():
+            lv, lv1, alive1 = levels[h], levels.get(h + 1), alive.get(h + 1)
+            for j, col in out_h.items():
                 if not alive[h][j]:
                     continue
                 for i, v in col.items():
-                    if alive[h + 1][i] and unit(v):
-                        jp = jump_of(h, j, i)
+                    if alive1[i] and unit(v):
+                        jp = lv1[i] - lv[j]
                         if level is None or jp < level:
                             level = jp
         if level is None or (max_jump is not None and level > max_jump):
             break
         # drain all entries at this jump level; cancellations only create
         # entries with jump >= level, so the minimum cannot drop below it
-        queue = sorted((h, j, i)
-                       for h in out_ for j, col in out_[h].items()
-                       for i in col if jump_of(h, j, i) == level)
+        queue = []
+        for h, out_h in out_.items():
+            lv, lv1 = levels[h], levels.get(h + 1)
+            queue.extend((h, j, i) for j, col in out_h.items()
+                         for i in col if lv1[i] - lv[j] == level)
+        queue.sort()
         qi = 0
         while qi < len(queue):
             h, j0, i0 = queue[qi]
             qi += 1
-            if not (alive[h][j0] and alive[h + 1][i0]):
+            alive_h, alive1 = alive[h], alive[h + 1]
+            if not (alive_h[j0] and alive1[i0]):
                 continue
-            v = out_.get(h, {}).get(j0, {}).get(i0)
-            if v is None or not unit(v) or jump_of(h, j0, i0) != level:
+            out_h = out_[h]
+            v = out_h.get(j0, {}).get(i0)
+            if v is None or not unit(v):
                 continue
-            changed = _cancel(ring, out_, in_, alive, levels, h, j0, i0, steps)
-            pairs.append((h, levels[h][j0], levels[h + 1][i0]))
+            changed = _cancel(ring, out_, in_, h, j0, i0, steps)
+            lv, lv1 = levels[h], levels[h + 1]
+            pairs.append((h, lv[j0], lv1[i0]))
+            alive_h[j0] = False
+            alive1[i0] = False
             for (j, i) in changed:
-                if (alive[h][j] and alive[h + 1][i]
-                        and i in out_.get(h, {}).get(j, {})
-                        and jump_of(h, j, i) == level):
+                if (alive_h[j] and alive1[i] and i in out_h.get(j, ())
+                        and lv1[i] - lv[j] == level):
                     queue.append((h, j, i))
     survivors = {h: [j for j, a in enumerate(alive[h]) if a]
                  for h in alive}
@@ -432,52 +430,74 @@ def filtered_reduce(cx: FilteredComplex,
             cols.append({index_of[h + 1][i]: v for i, v in col.items()})
         new_diff[h] = cols
     reduced = FilteredComplex(ring, new_levels, new_diff)
-    return DecomposedComplex(reduced, pairs, survivors, steps, cx)
+    return DecomposedComplex(reduced, pairs, survivors, steps)
 
 
 def _nonzero(ring: str, v: Coeff) -> bool:
     return int(v) % 2 != 0 if ring == "gf2" else bool(v)
 
 
-def _cancel(ring, out_, in_, alive, levels, h, j0, i0,
-            steps) -> list[tuple[int, int]]:
+def _cancel(ring, out_, in_, h, j0, i0, steps) -> list[tuple[int, int]]:
     """Gaussian cancellation of the entry d[i0, j0] out of degree h.
 
-    Returns the degree-h entries (j, i) whose value changed.
+    Returns the degree-h entries (j, i) that changed to a nonzero value.
+    Such an entry is appended to its column and row dicts, or updated in
+    place; an entry that becomes zero is deleted, and emptied columns and
+    rows are dropped.
     """
-    pivot = out_[h][j0][i0]
-    if ring == "gf2":
-        inv = 1
-    elif ring == "Q":
-        inv = Fraction(1) / Fraction(pivot)
-    else:
-        inv = pivot  # ±1
-    # other sources mapping to i0, other targets of j0
-    col_j0 = {i: v for i, v in out_[h][j0].items() if i != i0}
-    row_i0 = {j: v for j, v in in_[h + 1][i0].items() if j != j0}
-    steps.append((h, j0, i0, pivot, dict(col_j0), dict(row_i0)))
-    # update: for every other source j with entry a at i0, subtract a / pivot
-    # times column j0 from column j
+    out_h, in_h1 = out_[h], in_[h + 1]
+    pivot = out_h[j0][i0]
+    # other targets of j0, other sources mapping to i0
+    col_j0 = {i: v for i, v in out_h[j0].items() if i != i0}
+    row_i0 = {j: v for j, v in in_h1[i0].items() if j != j0}
+    steps.append((h, j0, i0, pivot, col_j0, row_i0))
+    # for every other source j with entry a at i0, subtract a / pivot times
+    # column j0 from column j.  Column j keeps its entry at i0 and row i
+    # keeps its entry from j0 throughout, so neither empties here.
     changed = []
-    for j, a in row_i0.items():
-        coef = _mul(ring, a, inv)
-        for i, b in col_j0.items():
-            cur = out_[h].get(j, {}).get(i, 0)
-            nv = _sub(ring, cur, _mul(ring, coef, b))
-            _set_entry(ring, out_, in_, h, j, i, nv)
-            changed.append((j, i))
-    # remove the pair
-    for i in list(out_[h].get(j0, {})):
-        _set_entry(ring, out_, in_, h, j0, i, 0)
-    for j in list(in_[h + 1].get(i0, {})):
-        _set_entry(ring, out_, in_, h, j, i0, 0)
-    for i in list(out_.get(h + 1, {}).get(i0, {})):
-        _set_entry(ring, out_, in_, h + 1, i0, i, 0)
-    for j in list(in_.get(h, {}).get(j0, {})):
-        _set_entry(ring, out_, in_, h - 1, j, j0, 0)
-    alive[h][j0] = False
-    alive[h + 1][i0] = False
+    if ring == "gf2":  # every stored entry is odd: the update toggles
+        for j in row_i0:
+            out_j = out_h[j]
+            for i in col_j0:
+                if i in out_j:
+                    del out_j[i]
+                    del in_h1[i][j]
+                else:
+                    out_j[i] = 1
+                    in_h1[i][j] = 1
+                    changed.append((j, i))
+    else:
+        inv = Fraction(1) / Fraction(pivot) if ring == "Q" else pivot  # Z: ±1
+        for j, a in row_i0.items():
+            coef = a * inv
+            out_j = out_h[j]
+            for i, b in col_j0.items():
+                nv = out_j.get(i, 0) - coef * b
+                if nv:
+                    out_j[i] = nv
+                    in_h1[i][j] = nv
+                    changed.append((j, i))
+                elif i in out_j:
+                    del out_j[i]
+                    del in_h1[i][j]
+    # remove the pair: column j0 and row i0 out of degree h, column i0 out
+    # of degree h+1, row j0 into degree h
+    _drop_line(out_h, in_h1, j0)
+    _drop_line(in_h1, out_h, i0)
+    _drop_line(out_.get(h + 1, {}), in_.get(h + 2, {}), i0)
+    _drop_line(in_.get(h, {}), out_.get(h - 1, {}), j0)
     return changed
+
+
+def _drop_line(lines: dict[int, Column], cross: dict[int, Column],
+               a: int) -> None:
+    """Remove line ``a`` of ``lines`` and its mirror entries in ``cross``,
+    dropping the ``cross`` lines that empty."""
+    for b in lines.pop(a, ()):
+        line = cross[b]
+        del line[a]
+        if not line:
+            del cross[b]
 
 
 def _mul(ring, a, b):
@@ -486,21 +506,6 @@ def _mul(ring, a, b):
 
 def _sub(ring, a, b):
     return (int(a) - int(b)) % 2 if ring == "gf2" else a - b
-
-
-def _set_entry(ring, out_, in_, h, j, i, v) -> None:
-    if _nonzero(ring, v):
-        out_.setdefault(h, {}).setdefault(j, {})[i] = v
-        in_.setdefault(h + 1, {}).setdefault(i, {})[j] = v
-    else:
-        if i in out_.get(h, {}).get(j, {}):
-            del out_[h][j][i]
-            if not out_[h][j]:
-                del out_[h][j]
-        if j in in_.get(h + 1, {}).get(i, {}):
-            del in_[h + 1][i][j]
-            if not in_[h + 1][i]:
-                del in_[h + 1][i]
 
 
 def push_chain(dec: DecomposedComplex, h: int, vec: Column) -> Column:
@@ -513,7 +518,7 @@ def push_chain(dec: DecomposedComplex, h: int, vec: Column) -> Column:
     d(e_{j0}) restricted away from i0.  Replaying all steps in order yields
     the projection onto the fully reduced complex.
     """
-    ring = dec._orig.ring
+    ring = dec.reduced.ring
     vec = {i: v for i, v in vec.items() if _nonzero(ring, v)}
     for (sh, j0, i0, pivot, col_j0, row_i0) in dec._steps:
         if sh + 1 == h and i0 in vec:
@@ -540,7 +545,7 @@ def lift_chain(dec: DecomposedComplex, h: int, vec: Column) -> Column:
     e'_j to ẽ_j = e_j − (a_j/p)·e_{j0} in degree sh, so replaying the
     steps in reverse only ever (re)computes cancelled source coordinates.
     """
-    ring = dec._orig.ring
+    ring = dec.reduced.ring
     surv = dec.survivors.get(h, [])
     out = {surv[k]: v for k, v in vec.items() if _nonzero(ring, v)}
     for (sh, j0, i0, pivot, col_j0, row_i0) in reversed(dec._steps):

@@ -80,6 +80,7 @@ def build_complex(d: OrientedLinkDiagram, theory: str,
     gens: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     index: dict[int, dict[tuple[int, tuple[int, ...]], int]] = {}
     levels: dict[int, list[int]] = {}
+    offset: list[int] = []  # per vertex: index of its first generator
     for v in range(1 << n):
         h = bin(v).count("1") - nm
         circles, _, _ = vert_circ[v]
@@ -87,61 +88,68 @@ def build_complex(d: OrientedLinkDiagram, theory: str,
         gidx = index.setdefault(h, {})
         lv = levels.setdefault(h, [])
         base_q = bin(v).count("1") + np_ - 2 * nm
+        offset.append(len(glist))
         for labels in product((0, 1), repeat=len(circles)):
             gidx[(v, labels)] = len(glist)
             glist.append((v, labels))
             lv.append(base_q + len(circles) - 2 * sum(labels))
 
+    # Within a vertex block the labelings are lexicographic, so a
+    # generator's index is the block offset plus its labels read as binary
+    # (circle 0 most significant).  Each edge v -> w then maps a labeling
+    # to a target index by a table over the untouched circles plus the
+    # Frobenius rule on the one or two touched circles.  Distinct terms
+    # of one column always hit distinct targets, so nothing accumulates,
+    # and columns fill edge by edge in the order a per-generator loop
+    # would insert them.  Keys are the shared ints of ``index``.
     m_rule, d_rule = spec["m"], spec["delta"]
-    diff: dict[int, list[Column]] = {}
-    for h in sorted(gens):
-        cols: list[Column] = []
-        tgt_index = index.get(h + 1, {})
-        for (v, labels) in gens[h]:
-            circles_v, arc_circle_v, cr_v = vert_circ[v]
-            col: Column = {}
-            nonfree_v = len(circles_v) - d.free_loops
-            for ci in range(n):
-                if (v >> ci) & 1:
-                    continue
-                w = v | (1 << ci)
-                sign = -1 if bin(v & ((1 << ci) - 1)).count("1") % 2 else 1
-                circles_w, arc_circle_w, cr_w = vert_circ[w]
-                nonfree_w = len(circles_w) - d.free_loops
-                c1, c2 = cr_v[ci]
-                t1, t2 = cr_w[ci]
-                # labels of untouched circles carry over by arc membership
-                base = [None] * len(circles_w)
-                for c, lab in enumerate(labels):
-                    if c in (c1, c2):
-                        continue
-                    if c >= nonfree_v:  # free loop
-                        base[nonfree_w + (c - nonfree_v)] = lab
-                    else:
-                        base[arc_circle_w[circles_v[c][0]]] = lab
-                if c1 != c2:  # merge
-                    for lab, coeff in m_rule[(labels[c1], labels[c2])]:
-                        tl = list(base)
-                        tl[t1] = lab
-                        _accumulate(col, tgt_index, w, tl, sign * coeff)
-                else:  # split
-                    for la, lb, coeff in d_rule[labels[c1]]:
-                        tl = list(base)
-                        tl[t1], tl[t2] = la, lb
-                        _accumulate(col, tgt_index, w, tl, sign * coeff)
-            cols.append(col)
-        diff[h] = cols
+    diff: dict[int, list[Column]] = {h: [{} for _ in gens[h]]
+                                     for h in sorted(gens)}
+    ids = {h: list(gidx.values()) for h, gidx in index.items()}
+    for v in range(1 << n):
+        h = bin(v).count("1") - nm
+        circles_v, _, cr_v = vert_circ[v]
+        kv = len(circles_v)
+        nonfree_v = kv - d.free_loops
+        block = diff[h][offset[v]:offset[v] + (1 << kv)]
+        tgt = ids.get(h + 1)
+        for ci in range(n):
+            if (v >> ci) & 1:
+                continue
+            w = v | (1 << ci)
+            sign = -1 if bin(v & ((1 << ci) - 1)).count("1") % 2 else 1
+            circles_w, arc_circle_w, cr_w = vert_circ[w]
+            kw = len(circles_w)
+            nonfree_w = kw - d.free_loops
+            c1, c2 = cr_v[ci]
+            t1, t2 = cr_w[ci]
+            # labels of untouched circles carry over by arc membership
+            table = [offset[w]]
+            for c in range(kv):
+                if c in (c1, c2):
+                    bit = 0
+                elif c >= nonfree_v:  # free loop
+                    bit = 1 << (kw - 1 - (nonfree_w + c - nonfree_v))
+                else:
+                    bit = 1 << (kw - 1 - arc_circle_w[circles_v[c][0]])
+                table = [t + x for t in table for x in (0, bit)]
+            s1, s2 = kv - 1 - c1, kv - 1 - c2
+            u1, u2 = kw - 1 - t1, kw - 1 - t2
+            if c1 != c2:  # merge
+                terms = [tuple((lab << u1, sign * coeff)
+                               for lab, coeff in m_rule[(a, b)])
+                         for a in (0, 1) for b in (0, 1)]
+            else:  # split
+                terms = [tuple(((la << u1) | (lb << u2), sign * coeff)
+                               for la, lb, coeff in d_rule[a])
+                         for a in (0, 1) for _ in (0, 1)]
+            for lab, col in enumerate(block):
+                base = table[lab]
+                for delta, coeff in terms[((lab >> s1) & 1) << 1
+                                          | ((lab >> s2) & 1)]:
+                    col[tgt[base + delta]] = coeff
     cx = FilteredComplex(ring, levels, diff)
     return CubeComplex(d, theory, cx, gens, index)
-
-
-def _accumulate(col: Column, tgt_index, w: int, tl: list, coeff: int) -> None:
-    k = tgt_index[(w, tuple(tl))]
-    nv = col.get(k, 0) + coeff
-    if nv:
-        col[k] = nv
-    else:
-        col.pop(k, None)
 
 
 def with_ring(cube: CubeComplex, ring: str) -> CubeComplex:

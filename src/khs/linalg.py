@@ -102,16 +102,11 @@ def gf2_solve(rows: list[int], n_cols: int, target: int) -> int | None:
 
     ``rows`` are the rows of A; ``target`` is a bitmask over row indices.
     """
-    # eliminate on columns of A^T: work with augmented columns
-    aug = []  # (column bitmask over rows, combination bitmask over columns)
-    for j in range(n_cols):
-        col = 0
-        for i, r in enumerate(rows):
-            if (r >> j) & 1:
-                col |= 1 << i
-        aug.append((col, 1 << j))
+    # eliminate on the columns of A (a transpose is its own inverse), in
+    # column order, pivoting on the highest set bit
     pivots: dict[int, tuple[int, int]] = {}
-    for col, comb in aug:
+    for j, col in enumerate(gf2_from_columns(rows, n_cols)):
+        comb = 1 << j
         while col:
             b = col.bit_length() - 1
             if b in pivots:

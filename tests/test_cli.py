@@ -1,6 +1,7 @@
 """CLI contract: subcommands, formats, exit codes, caching, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +126,20 @@ def test_table_json_without_cache(monkeypatch, capsys):
 def test_exit_code_constants():
     # [TRIVIAL] documented contract.
     assert EXIT_PARSE == 2 and EXIT_VERIFY == 4
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("link,char,theta,name", [
+    ("9_42", "2", "sq1", "9_42_c2_sq1.json"),
+    ("9_42", "0", "zero", "9_42_c0_zero.json"),
+    ("torus:3:1", "2", "sq1", "torus_3_1_c2_sq1.json"),
+])
+def test_compute_json_golden(capsys, link, char, theta, name):
+    # [DERIVED] stdout is a fixed interface: byte-identical to the recorded
+    # output, certificate chains included.
+    code, out, _ = run(capsys, "compute", "--link", link, "--char", char,
+                       "--theta", theta, "--format", "json")
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()

@@ -1,6 +1,9 @@
 """Khovanov / Lee / Bar-Natan cube complexes and homology tables."""
 
+from itertools import product
+
 from khs.cube import (
+    _THEORIES,
     build_complex,
     canonical_cycle,
     khovanov_homology,
@@ -9,8 +12,10 @@ from khs.cube import (
 from khs.jones import jones_polynomial
 from khs.links import (
     TorusLinkSpec,
+    braid_closure,
     empty_link,
     hopf_link,
+    resolution_circles,
     torus_link,
     trefoil,
     unknot,
@@ -151,3 +156,88 @@ def test_gen_ids_stable():
             gid = cube.gen_id(h, k)
             assert gid not in seen
             seen.add(gid)
+
+
+def _reference_cube(d, theory):
+    """The cube built generator by generator: every edge term's target
+    labeling is assembled as a tuple and looked up in ``index``."""
+    spec = _THEORIES[theory]
+    n, nm = d.n_crossings, d.n_minus
+    vert_circ = {v: resolution_circles(d, [(v >> i) & 1 for i in range(n)])
+                 for v in range(1 << n)}
+    gens, index, levels = {}, {}, {}
+    for v in range(1 << n):
+        h = bin(v).count("1") - nm
+        k = len(vert_circ[v][0])
+        for labels in product((0, 1), repeat=k):
+            index.setdefault(h, {})[(v, labels)] = len(gens.setdefault(h, []))
+            gens[h].append((v, labels))
+            levels.setdefault(h, []).append(
+                bin(v).count("1") + d.n_plus - 2 * nm + k - 2 * sum(labels))
+    diff = {}
+    for h in sorted(gens):
+        cols = []
+        for v, labels in gens[h]:
+            circles_v, _, cr_v = vert_circ[v]
+            nonfree_v = len(circles_v) - d.free_loops
+            col = {}
+            for ci in range(n):
+                if (v >> ci) & 1:
+                    continue
+                w = v | (1 << ci)
+                sign = -1 if bin(v & ((1 << ci) - 1)).count("1") % 2 else 1
+                circles_w, arc_circle_w, cr_w = vert_circ[w]
+                nonfree_w = len(circles_w) - d.free_loops
+                c1, c2 = cr_v[ci]
+                t1, t2 = cr_w[ci]
+                base = [None] * len(circles_w)
+                for c, lab in enumerate(labels):
+                    if c in (c1, c2):
+                        continue
+                    if c >= nonfree_v:
+                        base[nonfree_w + (c - nonfree_v)] = lab
+                    else:
+                        base[arc_circle_w[circles_v[c][0]]] = lab
+                if c1 != c2:
+                    outs = [(((t1, lab),), coeff)
+                            for lab, coeff in spec["m"][(labels[c1], labels[c2])]]
+                else:
+                    outs = [(((t1, la), (t2, lb)), coeff)
+                            for la, lb, coeff in spec["delta"][labels[c1]]]
+                for sets, coeff in outs:
+                    tl = list(base)
+                    for pos, lab in sets:
+                        tl[pos] = lab
+                    k = index[h + 1][(w, tuple(tl))]
+                    nv = col.get(k, 0) + sign * coeff
+                    if nv:
+                        col[k] = nv
+                    else:
+                        col.pop(k, None)
+            cols.append(col)
+        diff[h] = cols
+    return gens, index, levels, diff
+
+
+def test_build_complex_matches_reference():
+    # [DERIVED] the index-arithmetic construction reproduces the tuple-lookup
+    # one exactly, down to the insertion order of every column, which fixes
+    # the order in which filtered_reduce cancels.
+    links = [unknot(), braid_closure(3, (1, 1, 1)), knot_9_42(),
+             torus_link(TorusLinkSpec(3, 1))]
+    assert links[1].free_loops == 1
+    for d in links:
+        for theory, ring in (("khovanov", "Z"), ("bar_natan", "gf2"),
+                             ("lee", "Q")):
+            cube = build_complex(d, theory, ring)
+            gens, index, levels, diff = _reference_cube(d, theory)
+            assert cube.gens == gens and cube.index == index
+            assert cube.complex.levels == levels
+            assert list(cube.complex.diff) == list(diff)
+            for h, cols in diff.items():
+                got = cube.complex.diff[h]
+                assert len(got) == len(cols)
+                shared = list(cube.index.get(h + 1, {}).values())
+                for col_got, col_ref in zip(got, cols):
+                    assert list(col_got.items()) == list(col_ref.items())
+                    assert all(k is shared[k] for k in col_got)

@@ -70,6 +70,64 @@ def test_gf2_solve_and_nullspace():
             assert acc == target
 
 
+def _gf2_solve_per_bit(rows, n_cols, target):
+    """Reference: columns rebuilt bit by bit, then the same elimination."""
+    pivots = {}
+    for j in range(n_cols):
+        col = 0
+        for i, r in enumerate(rows):
+            if (r >> j) & 1:
+                col |= 1 << i
+        comb = 1 << j
+        while col:
+            b = col.bit_length() - 1
+            if b not in pivots:
+                pivots[b] = (col, comb)
+                break
+            col ^= pivots[b][0]
+            comb ^= pivots[b][1]
+    tcomb = 0
+    while target:
+        b = target.bit_length() - 1
+        if b not in pivots:
+            return None
+        target ^= pivots[b][0]
+        tcomb ^= pivots[b][1]
+    return tcomb
+
+
+def test_gf2_solve_returns_the_reference_solution():
+    # [DERIVED] not merely some solution: the same bitmask as the per-bit
+    # reference, on sparse 200x300 systems solvable or not.
+    rng = random.Random(5)
+    n_rows, n_cols = 200, 300
+    for trial in range(12):
+        cols = []
+        for _ in range(n_cols):
+            col = 0
+            for _ in range(rng.randint(0, 4)):
+                col |= 1 << rng.randrange(n_rows)
+            cols.append(col)
+        if trial % 3 == 0:  # low rank, so that most targets are unsolvable
+            cols = [c & ((1 << 40) - 1) for c in cols]
+        rows = gf2_from_columns(cols, n_rows)
+        targets = [rng.getrandbits(n_rows)]
+        for _ in range(3):
+            picked = 0
+            for j in rng.sample(range(n_cols), 7):
+                picked ^= cols[j]
+            targets.append(picked)
+        for target in targets:
+            sol = gf2_solve(rows, n_cols, target)
+            assert sol == _gf2_solve_per_bit(rows, n_cols, target)
+            if sol is not None:
+                acc = 0
+                for j in range(n_cols):
+                    if (sol >> j) & 1:
+                        acc ^= cols[j]
+                assert acc == target
+
+
 def test_gf2_solver_incremental():
     # [TRIVIAL]
     s = GF2Solver()
