@@ -18,9 +18,10 @@ print(homology_table_to_text(khovanov_homology(d, "Z", optimized=True)))
 print("Sq1 ranks:", sq1_table(d))
 res = refined_invariants(d, SQ1)
 print(refined_result_to_text(res))
-for q, cert in sorted(res.certificates.items()):
+for name, cert in sorted(res.certificates.items()):
     if cert is not None:
-        print(f"certificate at q={q}: valid={validate_certificate(d, cert)}")
+        print(f"certificate {name} at q={cert.q}: "
+              f"valid={validate_certificate(d, cert)}")
 bound = adjunction_bound(1, 1, -1, 1)
 print(f"adjunction bound: s_plus = {res.s_plus} <= {bound}:",
       res.s_plus <= bound)

@@ -25,10 +25,8 @@ from .refined_s import (
     adjunction_check,
     disjoint_union_check,
     fullness,
-    r_plus,
     refined_invariants,
     s_classical,
-    s_plus,
     validate_certificate,
 )
 from .tables import BUILTIN_NAMES, builtin_diagram, knot_9_42
@@ -59,10 +57,8 @@ __all__ = [
     "khovanov_homology",
     "knot_9_42",
     "parse_pd",
-    "r_plus",
     "refined_invariants",
     "s_classical",
-    "s_plus",
     "serialize_pd",
     "sq1",
     "sq1_table",

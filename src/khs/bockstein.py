@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .complexes import Column, FilteredComplex, class_coords, homology_reps, q_slice
+from .complexes import (
+    Column,
+    FilteredComplex,
+    apply,
+    class_coords,
+    homology_reps,
+    q_slice,
+)
 from .cube import CubeComplex, build_complex, with_ring
 from .links import OrientedLinkDiagram
 
@@ -25,15 +32,9 @@ def bockstein_chain(cx_z: FilteredComplex, h: int, cycle: Column) -> Column:
     """
     if cx_z.ring != "Z":
         raise ValueError("needs an integral complex")
-    cols = cx_z.columns(h)
-    acc: Column = {}
-    for j, v in cycle.items():
-        if int(v) % 2 == 0:
-            continue
-        for i, w in cols[j].items():
-            acc[i] = acc.get(i, 0) + w
+    lift = {j: 1 for j, v in cycle.items() if int(v) % 2}
     out: Column = {}
-    for i, v in acc.items():
+    for i, v in apply(cx_z.columns(h), lift).items():
         if v % 2:
             raise AssertionError(
                 "Bockstein lift-divide failed: boundary not divisible by 2 "
@@ -41,11 +42,6 @@ def bockstein_chain(cx_z: FilteredComplex, h: int, cycle: Column) -> Column:
         if (v // 2) % 2:
             out[i] = 1
     return out
-
-
-def sq1_chain(cube_z: CubeComplex, h: int, cycle: Column) -> Column:
-    """Bockstein on the integral Khovanov cube (see :func:`bockstein_chain`)."""
-    return bockstein_chain(cube_z.complex, h, cycle)
 
 
 @dataclass
@@ -88,19 +84,13 @@ def sq1(cube_z: CubeComplex, i: int, q: int,
     matrix = []
     for r in src:
         lifted = {back_src[j]: 1 for j in r}
-        image = sq1_chain(cube_z, i - 1, lifted)
+        image = bockstein_chain(cube_z.complex, i - 1, lifted)
         local = {pos_tgt[g]: 1 for g in image}
         coords = class_coords(sl, i, target_reps, local)
         if coords is None:
             raise AssertionError("Sq¹ output is not a cycle in its slice")
         matrix.append(coords)
     return BocksteinMap(i, q, src, target_reps, matrix, keep)
-
-
-def sq1_image(cube_z: CubeComplex, i: int, q: int,
-              target_reps: list[Column] | None = None) -> list[list[int]]:
-    """Basis of im(Sq¹) ⊆ Kh^{i,q}(𝔽₂) in target-rep coordinates."""
-    return sq1(cube_z, i, q, target_reps).image_coords()
 
 
 def sq1_table(d: OrientedLinkDiagram) -> dict[tuple[int, int], int]:

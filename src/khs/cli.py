@@ -6,7 +6,8 @@ Subcommands:
 * ``verify``  -- named verification suites (prop1, prop2, dichotomy,
   adjunction-942); exit 4 on the first failing case.
 * ``table``   -- batch results over a link family, with an optional
-  content-addressed JSON cache (env ``KHS_CACHE_DIR``).
+  content-addressed JSON cache (env ``KHS_CACHE_DIR``) whose keys include
+  a digest of the ``khs`` sources, so rows of older code are recomputed.
 
 Exit codes: 0 success, 2 input parse failure, 3 internal assertion /
 certificate validation failure, 4 verification failure.
@@ -15,10 +16,13 @@ certificate validation failure, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
+import tempfile
+from pathlib import Path
 
 from . import serialize
 from .cube import khovanov_homology
@@ -72,9 +76,11 @@ def _compute_payload(d: OrientedLinkDiagram, char: int,
                      theta: ThetaOperation, oracle: bool) -> dict:
     table = khovanov_homology(d, ring="Z", optimized=True)
     res = refined_invariants(d, theta, char=char, optimized=True)
-    for cert in res.certificates.values():
+    for name, cert in res.certificates.items():
         if cert is not None and not validate_certificate(d, cert):
-            raise AssertionError("certificate re-validation failed")
+            raise AssertionError(
+                f"certificate re-validation failed: {name} at q={cert.q} "
+                f"for link {res.link}")
     if oracle:
         naive_table = khovanov_homology(d, ring="Z", optimized=False)
         if naive_table.entries != table.entries:
@@ -241,9 +247,18 @@ def _cache_dir() -> str | None:
     return os.environ.get("KHS_CACHE_DIR")
 
 
+@functools.cache
+def _source_digest() -> str:
+    """Digest of the package's sources: rows cached by other code miss."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 def _cache_key(pd_text: str, char: int, theta: str) -> str:
-    blob = f"{pd_text}|char={char}|theta={theta}".encode()
-    return hashlib.sha256(blob).hexdigest()
+    blob = f"{pd_text}|char={char}|theta={theta}|src={_source_digest()}"
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _table_row(job: tuple[str, str, int, str]) -> dict:
@@ -268,8 +283,16 @@ def _table_row(job: tuple[str, str, int, str]) -> dict:
     if cache:
         try:
             os.makedirs(cache, exist_ok=True)
-            with open(os.path.join(cache, key + ".json"), "w") as fh:
-                json.dump(row, fh)
+            # write a temp file and rename it, so a reader never sees a
+            # partial row
+            fd, tmp = tempfile.mkstemp(dir=cache, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    json.dump(row, fh)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
         except OSError as e:
             print(f"warning: cache not writable ({e}); continuing uncached",
                   file=sys.stderr)
@@ -317,13 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Khovanov homology, Sq¹, and refined s-invariants")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
+    def field_options(p):
         p.add_argument("--char", type=int, choices=(0, 2), default=0,
                        help="field characteristic (0 = rationals)")
         p.add_argument("--theta", choices=("zero", "sq1"), default="zero")
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default="text")
-        p.add_argument("--threads", type=int, default=1)
 
     pc = sub.add_parser("compute", help="invariants of one link")
     pc.add_argument("--link", help="builtin name: " + ", ".join(BUILTIN_NAMES))
@@ -331,21 +351,23 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--file", help="file containing a PD code")
     pc.add_argument("--oracle", action="store_true",
                     help="cross-check against the naive full-cube path")
-    common(pc)
+    pc.add_argument("--format", choices=("json", "csv", "text"),
+                    default="text")
+    field_options(pc)
     pc.set_defaults(fn=cmd_compute)
 
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("suite", choices=sorted(_SUITES))
     pv.add_argument("--max-n", type=int, default=3)
-    pv.add_argument("--corpus", default="small")
-    common(pv)
     pv.set_defaults(fn=cmd_verify)
 
     pt = sub.add_parser("table", help="batch table over a family")
     pt.add_argument("--family", choices=("torus",))
     pt.add_argument("--max-n", type=int, default=3)
     pt.add_argument("--pd-file", help="file with one PD code per line")
-    common(pt)
+    pt.add_argument("--format", choices=("json", "csv"), default="csv")
+    pt.add_argument("--threads", type=int, default=1)
+    field_options(pt)
     pt.set_defaults(fn=cmd_table)
     return ap
 

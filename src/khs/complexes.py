@@ -5,7 +5,7 @@ list of generators with integer filtration levels q, and the differential
 as a sparse column map (generator index -> {target index: coefficient}).
 Coefficients live in GF(2), the rationals, or the integers depending on
 ``ring`` ("gf2", "Q", "Z"); the chain-level data is always stored as ints
-or Fractions and interpreted through that ring.
+or Fractions and read through that ring's object in :data:`linalg.RINGS`.
 """
 
 from __future__ import annotations
@@ -29,8 +29,13 @@ class FilteredComplex:
     diff: dict[int, list[Column]]
 
     def __post_init__(self) -> None:
-        if self.ring not in ("gf2", "Q", "Z"):
+        if self.ring not in linalg.RINGS:
             raise ValueError(f"unknown ring {self.ring!r}")
+
+    @property
+    def ops(self):
+        """The coefficient ring's arithmetic (see :data:`linalg.RINGS`)."""
+        return linalg.RINGS[self.ring]
 
     def dim(self, h: int) -> int:
         return len(self.levels.get(h, []))
@@ -40,35 +45,6 @@ class FilteredComplex:
 
     def columns(self, h: int) -> list[Column]:
         return self.diff.get(h, [{} for _ in range(self.dim(h))])
-
-    # -- ring-specific matrix views -------------------------------------------
-
-    def _gf2_rows(self, h: int) -> list[int]:
-        """Rows (over C^{h+1} entries as bit positions? no: rows of the matrix
-        d_h with one row per target generator) of d_h over GF(2)."""
-        cols = self.columns(h)
-        masks = []
-        for col in cols:
-            m = 0
-            for i, v in col.items():
-                if int(v) % 2:
-                    m |= 1 << i
-            masks.append(m)
-        return linalg.gf2_from_columns(masks, self.dim(h + 1))
-
-    def _gf2_cols(self, h: int) -> list[int]:
-        cols = self.columns(h)
-        return [sum((1 << i) for i, v in col.items() if int(v) % 2)
-                for col in cols]
-
-    def _q_rows(self, h: int) -> list[linalg.QRow]:
-        cols = self.columns(h)
-        rows: dict[int, linalg.QRow] = {}
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                if v:
-                    rows.setdefault(i, {})[j] = Fraction(v)
-        return [rows.get(i, {}) for i in range(self.dim(h + 1))]
 
     def _int_matrix(self, h: int) -> list[list[int]]:
         """Dense matrix of d_h: rows indexed by C^{h+1}, columns by C^h."""
@@ -82,10 +58,7 @@ class FilteredComplex:
     def rank_d(self, h: int) -> int:
         if self.dim(h) == 0 or self.dim(h + 1) == 0:
             return 0
-        if self.ring == "gf2":
-            return linalg.gf2_rank(self._gf2_cols(h))
-        rows = self._q_rows(h)
-        return linalg.q_rank(rows)
+        return self.ops.rank(self.columns(h))
 
     # -- homology -------------------------------------------------------------
 
@@ -127,16 +100,7 @@ class FilteredComplex:
                     if lv1[i] < lv[j]:
                         raise ValueError(
                             f"filtration decreases along d at h={h}")
-                # d(d(x)) = 0
-                acc: Column = {}
-                for i, v in col.items():
-                    for k, w in cols1[i].items():
-                        acc[k] = acc.get(k, 0) + v * w
-                if self.ring == "gf2":
-                    bad = any(int(v) % 2 for v in acc.values())
-                else:
-                    bad = any(acc.values())
-                if bad:
+                if not self.ops.is_zero(apply(cols1, col)):
                     raise ValueError(f"d∘d ≠ 0 out of degree h={h}")
 
 
@@ -199,45 +163,28 @@ def sublevel(cx: FilteredComplex, q: int) -> tuple[FilteredComplex, dict]:
     return restrict(cx, keep), keep
 
 
-def _col_to_mask(col: Column) -> int:
-    m = 0
-    for i, v in col.items():
-        if int(v) % 2:
-            m |= 1 << i
-    return m
-
-
-def _mask_to_col(mask: int) -> Column:
-    col = {}
-    while mask:
-        low = mask & -mask
-        col[low.bit_length() - 1] = 1
-        mask ^= low
-    return col
+def apply(cols: list[Column], vec: Column) -> Column:
+    """Σ vec[j]·cols[j], entries not yet read through a ring."""
+    acc: Column = {}
+    for j, v in vec.items():
+        for i, w in cols[j].items():
+            acc[i] = acc.get(i, 0) + v * w
+    return acc
 
 
 def homology_reps(cx: FilteredComplex, h: int) -> list[Column]:
     """Deterministic basis of cycle representatives for H^h."""
+    if cx.ring == "Z":
+        raise ValueError("homology representatives need field coefficients")
     dim = cx.dim(h)
     if dim == 0:
         return []
-    if cx.ring == "gf2":
-        kernel = linalg.gf2_nullspace(cx._gf2_rows(h), dim) \
-            if cx.dim(h + 1) else [1 << i for i in range(dim)]
-        solver = linalg.GF2Solver()
-        for b in cx._gf2_cols(h - 1):
-            solver.add(b)
-        return [_mask_to_col(k) for k in kernel if solver.add(k)]
-    if cx.ring == "Q":
-        if cx.dim(h + 1):
-            kernel = linalg.q_nullspace(cx._q_rows(h), dim)
-        else:
-            kernel = [{i: Fraction(1)} for i in range(dim)]
-        solver = linalg.QSolver()
-        for col in cx.columns(h - 1):
-            solver.add({i: Fraction(v) for i, v in col.items() if v})
-        return [k for k in kernel if solver.add(dict(k))]
-    raise ValueError("homology representatives need field coefficients")
+    ops = cx.ops
+    if cx.dim(h + 1):
+        kernel = ops.nullspace(cx.columns(h), cx.dim(h + 1))
+    else:
+        kernel = [{i: ops.coeff(1)} for i in range(dim)]
+    return ops.independent(cx.columns(h - 1), kernel)
 
 
 def class_coords(cx: FilteredComplex, h: int, reps: list[Column],
@@ -247,21 +194,12 @@ def class_coords(cx: FilteredComplex, h: int, reps: list[Column],
     Returns None if ``cycle`` is not in the span of reps + boundaries
     (which signals a non-cycle or a wrong basis).
     """
-    boundaries = cx.columns(h - 1) if cx.dim(h - 1) else []
-    if cx.ring == "gf2":
-        cols = [_col_to_mask(r) for r in reps] + \
-               [_col_to_mask(c) for c in boundaries]
-        rows = linalg.gf2_from_columns(cols, cx.dim(h))
-        sol = linalg.gf2_solve(rows, len(cols), _col_to_mask(cycle))
-        if sol is None:
-            return None
-        return [(sol >> k) & 1 for k in range(len(reps))]
-    cols = [{i: Fraction(v) for i, v in r.items()} for r in reps] + \
-           [{i: Fraction(v) for i, v in c.items() if v} for c in boundaries]
-    sol = linalg.q_solve(cols, {i: Fraction(v) for i, v in cycle.items()})
+    ops = cx.ops
+    sol = ops.solve(reps + cx.columns(h - 1), cycle, cx.dim(h))
     if sol is None:
         return None
-    return [sol.get(k, Fraction(0)) for k in range(len(reps))]
+    zero = ops.coeff(0)
+    return [sol.get(k, zero) for k in range(len(reps))]
 
 
 @dataclass
@@ -348,7 +286,8 @@ def filtered_reduce(cx: FilteredComplex,
     jump is <= max_jump are cancelled (jump 0 pairs preserve the filtered
     chain homotopy type on the nose).
     """
-    ring = cx.ring
+    ops = cx.ops
+    coeff, unit = ops.coeff, ops.is_unit
     levels = cx.levels
     # mutable sparse structure: out_[h][j] = {i: coeff}, in_[h+1][i] = {j: coeff}
     out_: dict[int, dict[int, Column]] = {}
@@ -358,18 +297,11 @@ def filtered_reduce(cx: FilteredComplex,
         out_.setdefault(h, {})
         in_.setdefault(h, {})
         for j, col in enumerate(cx.columns(h)):
-            col = {i: v for i, v in col.items() if _nonzero(ring, v)}
+            col = {i: v for i, v in col.items() if coeff(v)}
             if col:
                 out_[h][j] = col
                 for i, v in col.items():
                     in_.setdefault(h + 1, {}).setdefault(i, {})[j] = v
-
-    if ring == "Z":
-        def unit(v: Coeff) -> bool:
-            return v in (1, -1)
-    else:  # stored entries are nonzero, hence invertible over a field
-        def unit(v: Coeff) -> bool:
-            return True
 
     pairs: list[tuple[int, int, int]] = []
     steps: list[tuple] = []
@@ -408,7 +340,7 @@ def filtered_reduce(cx: FilteredComplex,
             v = out_h.get(j0, {}).get(i0)
             if v is None or not unit(v):
                 continue
-            changed = _cancel(ring, out_, in_, h, j0, i0, steps)
+            changed = _cancel(ops, out_, in_, h, j0, i0, steps)
             lv, lv1 = levels[h], levels[h + 1]
             pairs.append((h, lv[j0], lv1[i0]))
             alive_h[j0] = False
@@ -429,15 +361,11 @@ def filtered_reduce(cx: FilteredComplex,
             col = out_.get(h, {}).get(j, {})
             cols.append({index_of[h + 1][i]: v for i, v in col.items()})
         new_diff[h] = cols
-    reduced = FilteredComplex(ring, new_levels, new_diff)
+    reduced = FilteredComplex(cx.ring, new_levels, new_diff)
     return DecomposedComplex(reduced, pairs, survivors, steps)
 
 
-def _nonzero(ring: str, v: Coeff) -> bool:
-    return int(v) % 2 != 0 if ring == "gf2" else bool(v)
-
-
-def _cancel(ring, out_, in_, h, j0, i0, steps) -> list[tuple[int, int]]:
+def _cancel(ops, out_, in_, h, j0, i0, steps) -> list[tuple[int, int]]:
     """Gaussian cancellation of the entry d[i0, j0] out of degree h.
 
     Returns the degree-h entries (j, i) that changed to a nonzero value.
@@ -455,7 +383,7 @@ def _cancel(ring, out_, in_, h, j0, i0, steps) -> list[tuple[int, int]]:
     # column j0 from column j.  Column j keeps its entry at i0 and row i
     # keeps its entry from j0 throughout, so neither empties here.
     changed = []
-    if ring == "gf2":  # every stored entry is odd: the update toggles
+    if ops.name == "gf2":  # every stored entry is odd: the update toggles
         for j in row_i0:
             out_j = out_h[j]
             for i in col_j0:
@@ -467,7 +395,7 @@ def _cancel(ring, out_, in_, h, j0, i0, steps) -> list[tuple[int, int]]:
                     in_h1[i][j] = 1
                     changed.append((j, i))
     else:
-        inv = Fraction(1) / Fraction(pivot) if ring == "Q" else pivot  # Z: ±1
+        inv = ops.inv(pivot)
         for j, a in row_i0.items():
             coef = a * inv
             out_j = out_h[j]
@@ -500,14 +428,6 @@ def _drop_line(lines: dict[int, Column], cross: dict[int, Column],
             del cross[b]
 
 
-def _mul(ring, a, b):
-    return (int(a) * int(b)) % 2 if ring == "gf2" else a * b
-
-
-def _sub(ring, a, b):
-    return (int(a) - int(b)) % 2 if ring == "gf2" else a - b
-
-
 def push_chain(dec: DecomposedComplex, h: int, vec: Column) -> Column:
     """Image of an original-basis chain in the reduced basis.
 
@@ -518,17 +438,15 @@ def push_chain(dec: DecomposedComplex, h: int, vec: Column) -> Column:
     d(e_{j0}) restricted away from i0.  Replaying all steps in order yields
     the projection onto the fully reduced complex.
     """
-    ring = dec.reduced.ring
-    vec = {i: v for i, v in vec.items() if _nonzero(ring, v)}
+    ops = dec.reduced.ops
+    coeff = ops.coeff
+    vec = {i: v for i, v in vec.items() if coeff(v)}
     for (sh, j0, i0, pivot, col_j0, row_i0) in dec._steps:
         if sh + 1 == h and i0 in vec:
-            inv = 1 if ring == "gf2" else (
-                Fraction(1) / pivot if ring == "Q" else pivot)
-            coef = _mul(ring, vec[i0], inv)
-            del vec[i0]
+            coef = vec.pop(i0) * ops.inv(pivot)
             for i, b in col_j0.items():
-                nv = _sub(ring, vec.get(i, 0), _mul(ring, coef, b))
-                if _nonzero(ring, nv):
+                nv = coeff(vec.get(i, 0) - coef * b)
+                if nv:
                     vec[i] = nv
                 else:
                     vec.pop(i, None)
@@ -545,19 +463,19 @@ def lift_chain(dec: DecomposedComplex, h: int, vec: Column) -> Column:
     e'_j to ẽ_j = e_j − (a_j/p)·e_{j0} in degree sh, so replaying the
     steps in reverse only ever (re)computes cancelled source coordinates.
     """
-    ring = dec.reduced.ring
+    ops = dec.reduced.ops
+    coeff = ops.coeff
     surv = dec.survivors.get(h, [])
-    out = {surv[k]: v for k, v in vec.items() if _nonzero(ring, v)}
+    out = {surv[k]: v for k, v in vec.items() if coeff(v)}
     for (sh, j0, i0, pivot, col_j0, row_i0) in reversed(dec._steps):
         if sh != h:
             continue
-        inv = 1 if ring == "gf2" else (
-            Fraction(1) / pivot if ring == "Q" else pivot)
         acc = 0
         for j, a in row_i0.items():
             if j in out:
-                acc = _sub(ring, acc, _mul(ring, _mul(ring, out[j], a), inv))
-        if _nonzero(ring, acc):
+                acc -= out[j] * a
+        acc = coeff(acc * ops.inv(pivot))
+        if acc:
             out[j0] = acc
     return out
 

@@ -3,6 +3,9 @@
 GF(2) matrices are lists of Python-int bitmask rows (column j is bit j).
 Rational matrices are sparse ``{col: Fraction}`` row dicts.  Integer
 matrices for Smith normal form are dense lists of lists of ints.
+
+:data:`RINGS` puts one coefficient-ring object in front of these kernels
+for the chain-level code, which stores sparse ``{row: coeff}`` columns.
 """
 
 from __future__ import annotations
@@ -237,40 +240,14 @@ class QSolver:
             return True
         return False
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def contains(self, row: QRow) -> bool:
-        return not self.reduce(row)
-
 
 # ---------------------------------------------------------------------------
 # Integers: Smith normal form invariant factors
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(mat: list[list[int]]
-                      ) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Smith normal form with transforms:  U·M·V = diag(invariant factors).
-
-    Returns (nonzero invariant factors, U, V) with U, V unimodular.
-    """
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if mat else 0
-    U = [[int(i == j) for j in range(n_rows)] for i in range(n_rows)]
-    V = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
-    factors = _smith(mat, U, V)
-    return factors, U, V
-
-
 def smith_invariant_factors(mat: list[list[int]]) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix."""
-    return _smith(mat, None, None)
-
-
-def _smith(mat: list[list[int]], U: list[list[int]] | None,
-           V: list[list[int]] | None) -> list[int]:
     m = [row[:] for row in mat]
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
@@ -294,14 +271,9 @@ def _smith(mat: list[list[int]], U: list[list[int]] | None,
             break
         bi, bj, _ = best
         m[top], m[bi] = m[bi], m[top]
-        if U is not None:
-            U[top], U[bi] = U[bi], U[top]
         if bj != top:
             for row in m:
                 row[top], row[bj] = row[bj], row[top]
-            if V is not None:
-                for row in V:
-                    row[top], row[bj] = row[bj], row[top]
         clean = False
         while not clean:
             clean = True
@@ -315,14 +287,8 @@ def _smith(mat: list[list[int]], U: list[list[int]] | None,
                         ri, rt = m[i], m[top]
                         for j in range(top, n_cols):
                             ri[j] -= qt * rt[j]
-                        if U is not None:
-                            ui, ut = U[i], U[top]
-                            for j in range(n_rows):
-                                ui[j] -= qt * ut[j]
                     if m[i][top]:
                         m[top], m[i] = m[i], m[top]
-                        if U is not None:
-                            U[top], U[i] = U[i], U[top]
                         clean = False
                         break
             if not clean:
@@ -336,15 +302,9 @@ def _smith(mat: list[list[int]], U: list[list[int]] | None,
                     if qt:
                         for row in m:
                             row[j] -= qt * row[top]
-                        if V is not None:
-                            for row in V:
-                                row[j] -= qt * row[top]
                     if m[top][j]:
                         for row in m:
                             row[top], row[j] = row[j], row[top]
-                        if V is not None:
-                            for row in V:
-                                row[top], row[j] = row[j], row[top]
                         clean = False
                         break
         piv = abs(m[top][top])
@@ -362,15 +322,7 @@ def _smith(mat: list[list[int]], U: list[list[int]] | None,
             rs = m[stray]
             for j in range(top, n_cols):
                 rt[j] += rs[j]
-            if U is not None:
-                for j in range(n_rows):
-                    U[top][j] += U[stray][j]
             continue
-        if m[top][top] < 0:
-            for j in range(top, n_cols):
-                m[top][j] = -m[top][j]
-            if U is not None:
-                U[top] = [-x for x in U[top]]
         factors.append(piv)
         top += 1
         if top >= n_rows or top >= n_cols:
@@ -427,3 +379,154 @@ def integer_homology_summands(d_in: list[list[int]], rank_out: int,
         if f > 1:
             torsion.extend(_prime_power_parts(f))
     return free, sorted(torsion)
+
+
+# ---------------------------------------------------------------------------
+# Coefficient rings over sparse {row: coeff} columns
+# ---------------------------------------------------------------------------
+#
+# Chain-level code stores its columns and chains with int or Fraction
+# entries and reads them through one of these objects:
+#
+# * ``coeff(v)``: the entry v as a ring element in canonical form, falsy
+#   exactly when it is zero;
+# * ``is_unit(v)``: whether the nonzero element v is invertible;
+# * ``inv(v)``: the inverse of a unit;
+# * ``is_zero(vec)``: whether every entry of a chain is zero.
+#
+# The two fields add ``rank``, ``solve``, ``nullspace`` and ``independent``
+# over lists of columns.  These call the kernels above by their module-level
+# names, so a kernel replaced on this module from outside (as a tracer
+# does) is the one they run.
+
+
+class _GF2:
+    name = "gf2"
+
+    @staticmethod
+    def coeff(v) -> int:
+        return int(v) % 2  # Bar-Natan cubes store −1 entries
+
+    @staticmethod
+    def is_unit(v) -> bool:
+        return True
+
+    @staticmethod
+    def inv(v) -> int:
+        return 1
+
+    @staticmethod
+    def is_zero(vec: dict) -> bool:
+        return not any(int(v) % 2 for v in vec.values())
+
+    @staticmethod
+    def _mask(col: dict) -> int:
+        m = 0
+        for i, v in col.items():
+            if int(v) % 2:
+                m |= 1 << i
+        return m
+
+    @staticmethod
+    def _col(mask: int) -> dict[int, int]:
+        col = {}
+        while mask:
+            low = mask & -mask
+            col[low.bit_length() - 1] = 1
+            mask ^= low
+        return col
+
+    def _rows(self, cols: list[dict], n_rows: int) -> list[int]:
+        return gf2_from_columns([self._mask(c) for c in cols], n_rows)
+
+    def rank(self, cols: list[dict]) -> int:
+        return gf2_rank([self._mask(c) for c in cols])
+
+    def solve(self, cols: list[dict], target: dict,
+              n_rows: int) -> dict[int, int] | None:
+        """One λ with Σ λ_k·cols[k] = target, as ``{k: 1}``, or None."""
+        sol = gf2_solve(self._rows(cols, n_rows), len(cols),
+                        self._mask(target))
+        return None if sol is None else self._col(sol)
+
+    def nullspace(self, cols: list[dict], n_rows: int) -> list[dict]:
+        """Basis of {λ : Σ λ_k·cols[k] = 0}."""
+        return [self._col(m) for m in
+                gf2_nullspace(self._rows(cols, n_rows), len(cols))]
+
+    def independent(self, span: list[dict], cols: list[dict]) -> list[dict]:
+        """The columns of ``cols`` outside the span of ``span`` and of the
+        columns kept before them."""
+        solver = GF2Solver()
+        for c in span:
+            solver.add(self._mask(c))
+        return [c for c in cols if solver.add(self._mask(c))]
+
+
+class _Q:
+    name = "Q"
+    coeff = staticmethod(Fraction)
+
+    @staticmethod
+    def is_unit(v) -> bool:
+        return True
+
+    @staticmethod
+    def inv(v) -> Fraction:
+        return Fraction(1) / Fraction(v)
+
+    @staticmethod
+    def is_zero(vec: dict) -> bool:
+        return not any(vec.values())
+
+    @staticmethod
+    def _vec(col: dict) -> QRow:
+        return {i: Fraction(v) for i, v in col.items() if v}
+
+    def rank(self, cols: list[dict]) -> int:
+        return q_rank([self._vec(c) for c in cols])
+
+    def solve(self, cols: list[dict], target: dict,
+              n_rows: int) -> QRow | None:
+        """One λ with Σ λ_k·cols[k] = target, or None."""
+        return q_solve([self._vec(c) for c in cols], self._vec(target))
+
+    def nullspace(self, cols: list[dict], n_rows: int) -> list[QRow]:
+        """Basis of {λ : Σ λ_k·cols[k] = 0}."""
+        rows: list[QRow] = [{} for _ in range(n_rows)]
+        for k, col in enumerate(cols):
+            for i, v in col.items():
+                if v:
+                    rows[i][k] = Fraction(v)
+        return q_nullspace(rows, len(cols))
+
+    def independent(self, span: list[dict], cols: list[dict]) -> list[dict]:
+        """The columns of ``cols`` outside the span of ``span`` and of the
+        columns kept before them."""
+        solver = QSolver()
+        for c in span:
+            solver.add(self._vec(c))
+        return [c for c in cols if solver.add(self._vec(c))]
+
+
+class _Z:
+    """The integers, as far as cancelling ±1 entries needs them."""
+
+    name = "Z"
+    coeff = staticmethod(int)
+
+    @staticmethod
+    def is_unit(v) -> bool:
+        return v in (1, -1)
+
+    @staticmethod
+    def inv(v) -> int:
+        return v  # ±1 is its own inverse
+
+    @staticmethod
+    def is_zero(vec: dict) -> bool:
+        return not any(vec.values())
+
+
+GF2, Q, Z = _GF2(), _Q(), _Z()
+RINGS = {r.name: r for r in (GF2, Q, Z)}

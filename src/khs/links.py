@@ -180,18 +180,6 @@ class OrientedLinkDiagram:
         return merged
 
 
-def mirror(d: OrientedLinkDiagram) -> OrientedLinkDiagram:
-    return d.mirror()
-
-
-def reverse_all(d: OrientedLinkDiagram) -> OrientedLinkDiagram:
-    return d.reverse_all()
-
-
-def disjoint_union(d1: OrientedLinkDiagram, d2: OrientedLinkDiagram) -> OrientedLinkDiagram:
-    return d1.disjoint_union(d2)
-
-
 # -- parsing / serialization --------------------------------------------------
 
 _QUAD_RE = re.compile(r"X[\(\[]\s*([0-9,\s]*?)\s*[\)\]]")
@@ -344,8 +332,8 @@ def braid_closure(n_strands: int, word: Iterable[int],
     """Closure of a braid word (letters ±i for the i-th elementary braid).
 
     ``reversed_strands`` lists strand start-positions (1-based) whose closed-up
-    components are reversed.  Positive letters give positive crossings when
-    both strands are parallel.
+    components are reversed.  Positive letters give positive crossings and
+    negative letters negative ones when both strands are parallel.
     """
     word = list(word)
     if n_strands < 1:
@@ -362,11 +350,13 @@ def braid_closure(n_strands: int, word: Iterable[int],
         bl, br = seg[i], seg[i + 1]
         tl, tr = next_arc, next_arc + 1
         next_arc += 2
+        # slots run the same way round from the incoming under-strand: it
+        # travels from lower-left to upper-right for a positive letter and
+        # from lower-right to upper-left for a negative one
         if letter > 0:
-            # under-strand travels from lower-left to upper-right
             quads.append((bl, tl, tr, br))
         else:
-            quads.append((br, tr, tl, bl))
+            quads.append((br, bl, tl, tr))
         seg[i], seg[i + 1] = tl, tr
     # closure: the top arc at each position wraps around to the bottom arc at
     # the same position
@@ -376,7 +366,8 @@ def braid_closure(n_strands: int, word: Iterable[int],
     untouched = [pos for pos in range(n_strands) if seg[pos] == start[pos]]
     crossings = _derive_over_entries(relabeled)
     d = OrientedLinkDiagram(crossings, len(untouched))
-    assert d.component_count == len(set(_closure_components(n_strands, word)))
+    if d.component_count != len(set(_closure_components(n_strands, word))):
+        raise AssertionError("braid closure has the wrong component count")
     flags = [False] * d.component_count
     n_arc_comps = d.component_count - len(untouched)
     for pos in reversed_strands:

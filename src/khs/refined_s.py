@@ -21,12 +21,12 @@ with r₊^θ, s₊^θ ∈ {s^F, s^F + 2} and r₊^θ(∅) = s₊^θ(∅) = s(∅
 supported operations θ are the zero operation and Sq¹ (the Bockstein, char
 2 only).  Wherever a fullness claim is made, an explicit chain-level
 certificate is produced; :func:`validate_certificate` re-checks one from
-scratch using only chain arithmetic and linear solves.
+scratch using only chain arithmetic: no solve, rank or reduction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -34,6 +34,7 @@ from .bockstein import bockstein_chain
 from .complexes import (
     Column,
     FilteredComplex,
+    apply,
     class_coords,
     filtered_reduce,
     gr_slice,
@@ -43,7 +44,7 @@ from .complexes import (
     q_slice,
     sublevel_homology,
 )
-from .cube import CubeComplex, build_complex, canonical_cycle, with_ring
+from .cube import CubeComplex, build_complex, canonical_cycle
 from .links import OrientedLinkDiagram, serialize_pd
 
 
@@ -65,13 +66,6 @@ class ThetaOperation:
     def __post_init__(self) -> None:
         if self.kind not in ("zero", "sq1"):
             raise ValueError(f"unknown theta kind {self.kind!r}")
-
-    @property
-    def degree(self) -> int:
-        return 0 if self.kind == "zero" else 1
-
-    def allowed_char(self, char: int) -> bool:
-        return self.kind == "zero" or char == 2
 
 
 ZERO = ThetaOperation("zero")
@@ -166,6 +160,7 @@ class _Pipeline:
         self.char = char
         self.optimized = optimized
         self.ring = "gf2" if char == 2 else "Q"
+        self.ops = linalg.RINGS[self.ring]
         self.theory = "bar_natan" if char == 2 else "lee"
         self.cube = build_complex(d, self.theory, self.ring)
         self.s_o_orig = canonical_cycle(self.cube)
@@ -185,8 +180,8 @@ class _Pipeline:
         self.w_ob = class_coords(self.cx, 0, self.full_reps, self.s_ob)
         if self.w_o is None or self.w_ob is None:
             raise AssertionError("canonical chain is not a cycle of C")
-        if self._rank([self._coords_col(self.w_o),
-                       self._coords_col(self.w_ob)]) != 2:
+        if self.ops.rank([self._coords_col(self.w_o),
+                          self._coords_col(self.w_ob)]) != 2:
             raise AssertionError("canonical classes are not independent")
         self.cube_z: CubeComplex | None = None
         if need_sq1:
@@ -197,53 +192,9 @@ class _Pipeline:
         self._gr_cache: dict[int, tuple] = {}
         self._theta_cache: dict[int, tuple] = {}
 
-    # -- linear algebra over the ground field --------------------------------
-
-    def _rank(self, cols: list[dict]) -> int:
-        if self.ring == "gf2":
-            return linalg.gf2_rank(
-                [sum(1 << i for i, v in c.items() if int(v) % 2)
-                 for c in cols])
-        return linalg.q_rank([{i: Fraction(v) for i, v in c.items() if v}
-                              for c in cols])
-
     @staticmethod
     def _coords_col(coords: list) -> dict:
         return {i: v for i, v in enumerate(coords) if v}
-
-    def _solve(self, cols: list[dict], target: dict, n_rows: int):
-        """Solve Σ λ_k cols[k] = target; returns coefficient dict or None."""
-        if self.ring == "gf2":
-            masks = [sum(1 << i for i, v in c.items() if int(v) % 2)
-                     for c in cols]
-            tmask = sum(1 << i for i, v in target.items() if int(v) % 2)
-            rows = linalg.gf2_from_columns(masks, n_rows)
-            sol = linalg.gf2_solve(rows, len(cols), tmask)
-            if sol is None:
-                return None
-            return {k: 1 for k in range(len(cols)) if (sol >> k) & 1}
-        qcols = [{i: Fraction(v) for i, v in c.items() if v} for c in cols]
-        qt = {i: Fraction(v) for i, v in target.items() if v}
-        return linalg.q_solve(qcols, qt)
-
-    def _nullspace(self, cols: list[dict], n_rows: int) -> list[dict]:
-        """Basis of {λ : Σ λ_k cols[k] = 0} as coefficient dicts."""
-        n = len(cols)
-        if self.ring == "gf2":
-            bitrows = [0] * n_rows
-            for k, c in enumerate(cols):
-                for i, v in c.items():
-                    if int(v) % 2:
-                        bitrows[i] |= 1 << k
-            sols = linalg.gf2_nullspace(bitrows, n)
-            return [{k: 1 for k in range(n) if (m >> k) & 1} for m in sols]
-        qrows: dict[int, linalg.QRow] = {}
-        for k, c in enumerate(cols):
-            for i, v in c.items():
-                if v:
-                    qrows.setdefault(i, {})[k] = Fraction(v)
-        sols = linalg.q_nullspace([qrows.get(i, {}) for i in range(n_rows)], n)
-        return [dict(s) for s in sols]
 
     # -- cached homological data ---------------------------------------------
 
@@ -296,8 +247,7 @@ class _Pipeline:
                 # express the image class in the gr basis of the working
                 # complex (push through the jump-0 reduction if present)
                 w_cx = push_chain(self.dec, 0, w_orig) if self.dec else w_orig
-                local = {gpos[i]: v for i, v in w_cx.items()
-                         if i in gpos and int(v) % 2}
+                local = {gpos[i]: v for i, v in w_cx.items() if i in gpos}
                 coords = class_coords(gcx, 0, greps, local)
                 if coords is None:
                     raise AssertionError("Sq¹ image is not a graded cycle")
@@ -338,21 +288,16 @@ class _Pipeline:
         cols, _, n_rows, _ = self._system(q, mode)
         wo = self._coords_col(self.w_o)
         wob = self._coords_col(self.w_ob)
-        rank_rest = self._rank(cols)
-        rank_all = self._rank([wo, wob] + cols)
+        rank_rest = self.ops.rank(cols)
+        rank_all = self.ops.rank([wo, wob] + cols)
         return 2 - rank_all + rank_rest
 
     def witness(self, q: int, alpha, beta, mode: str):
         """Solution (a_k, c_m) hitting α[𝔰_𝔬] + β[𝔰_𝔬̄], or None."""
         cols, n_a, n_rows, _ = self._system(q, mode)
-        target: dict = {}
-        for t, v in enumerate(self.w_o):
-            val = alpha * v + beta * self.w_ob[t]
-            if self.ring == "gf2":
-                val = int(val) % 2
-            if val:
-                target[t] = val
-        sol = self._solve(cols, target, n_rows)
+        target = {t: alpha * v + beta * self.w_ob[t]
+                  for t, v in enumerate(self.w_o)}
+        sol = self.ops.solve(cols, target, n_rows)
         if sol is None:
             return None
         a = {k: v for k, v in sol.items() if k < n_a and v}
@@ -373,7 +318,7 @@ class _Pipeline:
         neg = ({i: -v for i, v in c.items()} for c in cols)
         allcols = [wo, wob] + list(neg)
         out = []
-        for sol in self._nullspace(allcols, n_rows):
+        for sol in self.ops.nullspace(allcols, n_rows):
             alpha = sol.get(0, 0)
             beta = sol.get(1, 0)
             if alpha or beta:
@@ -393,58 +338,48 @@ class _Pipeline:
     def certificate(self, q: int, alpha, beta, a: dict, c: dict,
                     mode: str) -> FullnessCertificate:
         SH = self.sh(q)
+        coeff = self.ops.coeff
         x_cx: Column = {}
         for k, coef in a.items():
             for i, v in SH.reps[k].items():
-                nv = x_cx.get(i, 0) + coef * v
-                if self.ring == "gf2":
-                    nv = int(nv) % 2
+                nv = coeff(x_cx.get(i, 0) + coef * v)
                 if nv:
                     x_cx[i] = nv
                 else:
                     x_cx.pop(i, None)
         x = lift_chain(self.dec, 0, x_cx) if self.dec else dict(x_cx)
         # j-condition witness: d(y) = x − α·𝔰_𝔬 − β·𝔰_𝔬̄ in the original cube
-        diffm1 = self.cube.complex.columns(-1)
+        cx0 = self.cube.complex
         target: Column = dict(x)
         for chain, coef in ((self.s_o_orig, alpha), (self.s_ob_orig, beta)):
             for i, v in chain.items():
-                nv = target.get(i, 0) - coef * v
-                if self.ring == "gf2":
-                    nv = int(nv) % 2
-                if nv:
-                    target[i] = nv
-                else:
-                    target.pop(i, None)
-        y = self._solve(diffm1, target, self.cube.complex.dim(0))
+                target[i] = target.get(i, 0) - coef * v
+        y = self.ops.solve(cx0.columns(-1), target, cx0.dim(0))
         if y is None:
-            raise AssertionError("j-condition witness solve failed")
+            raise AssertionError(self._failure("j-condition witness solve",
+                                               q))
         u = None
         z = None
         if mode != "plain":
             # p-condition: level-q part of x is (Sq¹ u) + graded boundary
-            lv0 = self.cube.complex.levels[0]
+            lv0 = cx0.levels[0]
             xq = {i: v for i, v in x.items() if lv0[i] == q}
             if mode == "sq1":
                 u = {}
-                for m, coef in c.items():
-                    if int(coef) % 2:
-                        for i in self.theta_data(q)[m][0]:
-                            u[i] = u.get(i, 0) ^ 1
+                for m in c:
+                    for i in self.theta_data(q)[m][0]:
+                        u[i] = u.get(i, 0) ^ 1
                 u = {i: v for i, v in u.items() if v}
                 w = bockstein_chain(self.cube_z.complex, -1, u)
                 for i, v in w.items():
-                    nv = (int(xq.get(i, 0)) - v) % 2
-                    if nv:
-                        xq[i] = nv
-                    else:
-                        xq.pop(i, None)
-            gcx0, gkeep0 = gr_slice(self.cube.complex, q)
+                    xq[i] = xq.get(i, 0) - v
+            gcx0, gkeep0 = gr_slice(cx0, q)
             gpos = {g: k for k, g in enumerate(gkeep0.get(0, []))}
             xq_loc = {gpos[i]: v for i, v in xq.items()}
-            z_loc = self._solve(gcx0.columns(-1), xq_loc, gcx0.dim(0))
+            z_loc = self.ops.solve(gcx0.columns(-1), xq_loc, gcx0.dim(0))
             if z_loc is None:
-                raise AssertionError("p-condition witness solve failed")
+                raise AssertionError(self._failure("p-condition witness solve",
+                                                   q))
             back = gkeep0.get(-1, [])
             z = {back[k]: v for k, v in z_loc.items() if v}
         gid0 = lambda i: self.cube.gen_id(0, i)
@@ -456,6 +391,9 @@ class _Pipeline:
             u={gidm1(i): 1 for i in u} if u is not None else None,
             z={gidm1(i): v for i, v in z.items()} if z is not None else None,
         )
+
+    def _failure(self, stage: str, q: int) -> str:
+        return f"{stage} failed at q={q} for link {serialize_pd(self.d)}"
 
     # -- the invariants -------------------------------------------------------
 
@@ -481,10 +419,6 @@ class _Pipeline:
         return [(1, 1), (1, -1)]
 
 
-def _theta_mode(theta: ThetaOperation) -> str:
-    return "sq1" if theta.kind == "sq1" else "zero"
-
-
 def _char_for(theta: ThetaOperation, char: int | None) -> int:
     if theta.kind == "sq1":
         if char not in (None, 2):
@@ -496,16 +430,6 @@ def _char_for(theta: ThetaOperation, char: int | None) -> int:
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-
-def subspace_W(d: OrientedLinkDiagram, char: int = 0,
-               optimized: bool = True) -> tuple[list, list]:
-    """Coordinates of [𝔰_𝔬], [𝔰_𝔬̄] in the degree-0 homology basis.
-
-    Asserts 2-dimensionality; raises on the empty link.
-    """
-    pipe = _Pipeline(d, char, optimized)
-    return pipe.w_o, pipe.w_ob
 
 
 def fullness(d: OrientedLinkDiagram, q: int, theta: ThetaOperation = ZERO,
@@ -531,7 +455,7 @@ def fullness(d: OrientedLinkDiagram, q: int, theta: ThetaOperation = ZERO,
         found: list[dict] = []
         for alpha, beta, a, c in pipe.all_witnesses(q, mode):
             vec = {0: alpha, 1: beta}
-            if pipe._rank(found + [vec]) > len(found):
+            if pipe.ops.rank(found + [vec]) > len(found):
                 found.append(vec)
                 certs.append(pipe.certificate(q, alpha, beta, a, c, mode))
             if len(found) == dim:
@@ -565,7 +489,7 @@ def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
                               {"r_plus": None, "s_plus": None})
     pipe = _Pipeline(d, char, optimized, need_sq1=theta.kind == "sq1")
     s = pipe.s_value()
-    mode = _theta_mode(theta)
+    mode = theta.kind
     certs: dict[str, FullnessCertificate | None] = {}
 
     # r₊ criterion: x ∈ H⁰(C^{≥ s+1}) with j(x) = [𝔰_𝔬] ± [𝔰_𝔬̄], p(x) ∈ im θ
@@ -607,20 +531,6 @@ def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
 
     return RefinedSResult(link_id, d.component_count, char, theta,
                           s, r_plus_v, s_plus_v, certs)
-
-
-def r_plus(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
-           char: int | None = None, optimized: bool = True
-           ) -> tuple[int, FullnessCertificate | None]:
-    res = refined_invariants(d, theta, char, optimized)
-    return res.r_plus, res.certificates.get("r_plus")
-
-
-def s_plus(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
-           char: int | None = None, optimized: bool = True
-           ) -> tuple[int, FullnessCertificate | None]:
-    res = refined_invariants(d, theta, char, optimized)
-    return res.s_plus, res.certificates.get("s_plus")
 
 
 def minus_versions(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
@@ -683,32 +593,17 @@ def adjunction_check(s0: int, chi: int, self_intersection: int,
 # ---------------------------------------------------------------------------
 
 
-def _parse_gen_id(gid: str, n: int) -> tuple[int, tuple[int, ...]]:
+def _parse_gen_id(gid: str) -> tuple[int, tuple[int, ...]]:
     vs, labels = gid[1:].split(":")
     v = 0 if vs == "-" else int(vs[::-1], 2)
     return v, tuple(1 if ch == "x" else 0 for ch in labels)
 
 
 def _resolve(cube: CubeComplex, h: int, chain: dict) -> Column:
-    n = cube.diagram.n_crossings
     out: Column = {}
     for gid, coeff in chain.items():
-        out[cube.index[h][_parse_gen_id(gid, n)]] = coeff
+        out[cube.index[h][_parse_gen_id(gid)]] = coeff
     return out
-
-
-def _is_zero(ring: str, acc: Column) -> bool:
-    if ring == "gf2":
-        return all(int(v) % 2 == 0 for v in acc.values())
-    return not any(acc.values())
-
-
-def _apply(cols: list[Column], vec: Column) -> Column:
-    acc: Column = {}
-    for j, v in vec.items():
-        for i, w in cols[j].items():
-            acc[i] = acc.get(i, 0) + v * w
-    return acc
 
 
 def validate_certificate(d: OrientedLinkDiagram,
@@ -718,23 +613,24 @@ def validate_certificate(d: OrientedLinkDiagram,
     theory = "bar_natan" if cert.char == 2 else "lee"
     cube = build_complex(d, theory, ring)
     cx = cube.complex
+    is_zero = cx.ops.is_zero
     x = _resolve(cube, 0, cert.x)
     y = _resolve(cube, -1, cert.y)
     # filtration support and cycle condition for x
     lv0 = cx.levels[0]
     if any(lv0[i] < cert.q for i, v in x.items() if v):
         return False
-    if not _is_zero(ring, _apply(cx.columns(0), x)):
+    if not is_zero(apply(cx.columns(0), x)):
         return False
     # j-condition: d(y) = x − α 𝔰_𝔬 − β 𝔰_𝔬̄
-    acc = _apply(cx.columns(-1), y)
+    acc = apply(cx.columns(-1), y)
     for i, v in x.items():
         acc[i] = acc.get(i, 0) - v
     for chain, coef in ((canonical_cycle(cube), cert.alpha),
                         (canonical_cycle(cube, reverse=True), cert.beta)):
         for i, v in chain.items():
             acc[i] = acc.get(i, 0) + coef * v
-    if not _is_zero(ring, acc):
+    if not is_zero(acc):
         return False
     if cert.kind == "plain":
         return True
@@ -747,20 +643,19 @@ def validate_certificate(d: OrientedLinkDiagram,
         if any(zlv[i] != cert.q for i in u):
             return False
         # u must be a mod-2 cycle of the graded (Khovanov) complex
-        if not _is_zero("gf2", _apply(cube_z.complex.columns(-1), u)):
+        if not linalg.GF2.is_zero(apply(cube_z.complex.columns(-1), u)):
             return False
-        w = bockstein_chain(cube_z.complex, -1,
-                            {i: int(v) % 2 for i, v in u.items()})
+        w = bockstein_chain(cube_z.complex, -1, u)
         for i, v in w.items():
-            xq[i] = (int(xq.get(i, 0)) - v) % 2
+            xq[i] = xq.get(i, 0) - v
     gcx, gkeep = gr_slice(cx, cert.q)
     gpos = {g: k for k, g in enumerate(gkeep.get(0, []))}
     posm1 = {g: k for k, g in enumerate(gkeep.get(-1, []))}
     z = _resolve(cube, -1, cert.z or {})
-    acc = _apply(gcx.columns(-1), {posm1[i]: v for i, v in z.items()})
+    acc = apply(gcx.columns(-1), {posm1[i]: v for i, v in z.items()})
     for i, v in xq.items():
         if v and i not in gpos:
             return False
         if i in gpos:
             acc[gpos[i]] = acc.get(gpos[i], 0) - v
-    return _is_zero(ring, acc)
+    return is_zero(acc)

@@ -143,3 +143,62 @@ def test_compute_json_golden(capsys, link, char, theta, name):
                        "--theta", theta, "--format", "json")
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "dichotomy", "--threads", "2"),
+    ("verify", "prop1", "--char", "2"),
+    ("verify", "prop1", "--theta", "sq1"),
+    ("verify", "prop1", "--format", "json"),
+    ("verify", "prop1", "--corpus", "small"),
+    ("compute", "--link", "unknot", "--threads", "2"),
+    ("table", "--family", "torus", "--format", "text"),
+])
+def test_options_a_subcommand_does_not_read_exit_2(capsys, argv):
+    # [TRIVIAL] each subcommand takes only the options its handler reads.
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_PARSE
+    assert capsys.readouterr().out == ""
+
+
+def test_table_cache_recomputes_rows_of_other_code(tmp_path, monkeypatch,
+                                                   capsys):
+    # [DERIVED] cache keys carry a digest of the sources, so a row that
+    # older code cached (here with a wrong s_plus) is not served.
+    import khs.cli
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("KHS_CACHE_DIR", str(cache))
+    args = ("table", "--family", "torus", "--max-n", "2",
+            "--char", "2", "--theta", "sq1", "--format", "csv")
+    digest = khs.cli._source_digest
+    monkeypatch.setattr(khs.cli, "_source_digest", lambda: "older code")
+    assert run(capsys, *args)[0] == 0
+    for f in cache.iterdir():
+        row = json.loads(f.read_text())
+        f.write_text(json.dumps({**row, "s_plus": 99}))
+    code, stale, _ = run(capsys, *args)  # same digest: served from cache
+    assert code == 0 and ",99" in stale
+    monkeypatch.setattr(khs.cli, "_source_digest", digest)
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert ",99" not in out and "torus:2:1,2,2,sq1,-1,-1,-1" in out
+    assert len(list(cache.iterdir())) == 4
+
+
+def test_failed_revalidation_names_certificate_level_and_link(monkeypatch,
+                                                              capsys):
+    # [TRIVIAL] exit 3 says which certificate failed, at which q, for
+    # which link; stdout stays empty.
+    import khs.cli
+    from khs.links import serialize_pd
+    from khs.tables import builtin_diagram
+
+    monkeypatch.setattr(khs.cli, "validate_certificate",
+                        lambda d, cert: False)
+    code, out, err = run(capsys, "compute", "--link", "trefoil",
+                         "--char", "2", "--theta", "sq1", "--format", "json")
+    assert code == 3 and out == ""
+    assert "r_plus at q=" in err
+    assert serialize_pd(builtin_diagram("trefoil")) in err

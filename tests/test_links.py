@@ -14,7 +14,6 @@ from khs.links import (
     PDError,
     TorusLinkSpec,
     braid_closure,
-    disjoint_union,
     empty_link,
     hopf_link,
     oriented_resolution,
@@ -108,10 +107,10 @@ def test_torus_link_basic_invariants():
 
 def test_disjoint_union_counts():
     # [TRIVIAL]
-    d = disjoint_union(trefoil(), hopf_link())
+    d = trefoil().disjoint_union(hopf_link())
     assert d.component_count == 3
     assert d.n_crossings == 5
-    e = disjoint_union(empty_link(), trefoil())
+    e = empty_link().disjoint_union(trefoil())
     assert (e.component_count, e.n_crossings, e.writhe()) == (1, 3, 3)
 
 
@@ -152,3 +151,57 @@ def test_nonplanar_rejected():
     bad = "X(1,2,3,4) X(3,4,1,2)"
     with pytest.raises(NonPlanarError):
         oriented_resolution(parse_pd(bad))
+
+
+def test_negative_letters_give_the_mirror_trefoil():
+    # [DERIVED] σ₁⁻³ closes to the mirror of σ₁³: the Jones polynomial is
+    # the right-handed trefoil's under q -> 1/q, and s changes sign.
+    from khs.jones import jones_polynomial
+    from khs.refined_s import s_classical
+
+    left = braid_closure(2, [-1, -1, -1])
+    assert [left.sign(i) for i in range(3)] == [-1, -1, -1]
+    assert jones_polynomial(left) == {
+        -q: v for q, v in jones_polynomial(trefoil()).items()}
+    for char in (0, 2):
+        assert s_classical(left, char) == -s_classical(trefoil(), char) == -2
+
+
+def test_figure_eight_braid_is_amphichiral():
+    # [DERIVED] σ₁σ₂⁻¹σ₁σ₂⁻¹ is the figure-eight knot, which is amphichiral:
+    # its unnormalized Jones polynomial (q + 1/q)(q⁴ − q² + 1 − q⁻² + q⁻⁴)
+    # is q⁵ + q⁻⁵.
+    from khs.jones import jones_polynomial
+
+    d = braid_closure(3, [1, -2, 1, -2])
+    assert d.component_count == 1 and d.writhe() == 0
+    assert {q: v for q, v in jones_polynomial(d).items() if v} == \
+        {5: 1, -5: 1}
+
+
+def test_mixed_sign_braids_are_planar():
+    # [DERIVED] every closure of a braid is a planar diagram, so each of
+    # the 280 mixed-sign 3-strand words of length <= 4 has an oriented
+    # resolution.
+    from itertools import product
+
+    words = [w for n in range(1, 5) for w in product((1, -1, 2, -2), repeat=n)
+             if min(w) < 0 < max(w)]
+    assert len(words) == 280
+    for w in words:
+        oriented_resolution(braid_closure(3, w))
+
+
+def test_reversed_strands_flag_their_component():
+    # [DERIVED] reversing one component of a two-component link flips the
+    # sign of every crossing between the components.
+    d = braid_closure(3, [-1, -1, 2, -2], reversed_strands=[2])
+    comp = d.arc_component[2]  # the strand starting at position 2
+    assert d.component_orientations == [i == comp for i in range(3)]
+    hopf_neg = braid_closure(2, [-1, -1])
+    assert hopf_neg.writhe() == -2
+    assert braid_closure(2, [-1, -1], reversed_strands=[2]).writhe() == 2
+    # an untouched position closes to a free loop, flagged in its own slot
+    e = braid_closure(3, [1, -1], reversed_strands=[3])
+    assert e.free_loops == 1 and e.component_orientations == [
+        False, False, True]

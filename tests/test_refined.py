@@ -4,7 +4,6 @@ import pytest
 
 from khs.links import (
     TorusLinkSpec,
-    disjoint_union,
     empty_link,
     hopf_link,
     torus_link,
@@ -234,5 +233,5 @@ def test_adjunction_942():
 
 def test_disjoint_union_with_unknot_component():
     # [DERIVED] adding a split unknot drops s by 1 (and keeps dichotomy).
-    d = disjoint_union(trefoil(), unknot())
+    d = trefoil().disjoint_union(unknot())
     assert s_classical(d, char=2) == s_classical(trefoil(), char=2) - 1
