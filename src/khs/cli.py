@@ -72,54 +72,44 @@ def _theta(args) -> ThetaOperation:
     return theta
 
 
-def _compute_payload(d: OrientedLinkDiagram, char: int,
-                     theta: ThetaOperation, oracle: bool) -> dict:
+def cmd_compute(args) -> int:
+    d = _load_diagram(args)
+    theta = _theta(args)
     table = khovanov_homology(d, ring="Z", optimized=True)
-    res = refined_invariants(d, theta, char=char, optimized=True)
+    res = refined_invariants(d, theta, char=args.char, optimized=True)
     for name, cert in res.certificates.items():
         if cert is not None and not validate_certificate(d, cert):
             raise AssertionError(
                 f"certificate re-validation failed: {name} at q={cert.q} "
                 f"for link {res.link}")
-    if oracle:
+    if args.oracle:
         naive_table = khovanov_homology(d, ring="Z", optimized=False)
         if naive_table.entries != table.entries:
             raise AssertionError("oracle mismatch: homology table")
-        naive = refined_invariants(d, theta, char=char, optimized=False)
+        naive = refined_invariants(d, theta, char=args.char, optimized=False)
         if (naive.s_classical, naive.r_plus, naive.s_plus) != (
                 res.s_classical, res.r_plus, res.s_plus):
             raise AssertionError("oracle mismatch: refined invariants")
-    return {
-        "khovanov": serialize.homology_table_to_json(table),
-        "refined": serialize.refined_result_to_json(res),
-    }
-
-
-def cmd_compute(args) -> int:
-    d = _load_diagram(args)
-    theta = _theta(args)
-    payload = _compute_payload(d, args.char, theta, args.oracle)
     if args.format == "json":
-        print(serialize.dumps(payload))
+        print(serialize.dumps({
+            "khovanov": serialize.homology_table_to_json(table),
+            "refined": serialize.refined_result_to_json(res),
+        }))
     elif args.format == "csv":
-        from .cube import HomologyTable
-        table = HomologyTable(payload["khovanov"]["ring"], {
-            (e["h"], e["q"]): (e["rank"], e["torsion"])
-            for e in payload["khovanov"]["entries"]})
         sys.stdout.write(serialize.homology_table_to_csv(table))
-        r = payload["refined"]
-        print(f"s,{r['s']}\nr_plus,{r['r_plus']}\ns_plus,{r['s_plus']}")
+        print(f"s,{res.s_classical}\nr_plus,{res.r_plus}\n"
+              f"s_plus,{res.s_plus}")
     else:
-        r = payload["refined"]
-        print(f"link: {r['link']}")
+        print(f"link: {res.link}")
         print("Khovanov homology (Z):")
-        for e in payload["khovanov"]["entries"]:
-            tor = " + ".join(f"Z/{t}" for t in e["torsion"])
-            rank = f"Z^{e['rank']}" if e["rank"] else ""
-            body = " + ".join(x for x in (rank, tor) if x) or "0"
-            print(f"  h={e['h']:>3} q={e['q']:>3}  {body}")
-        print(f"char {r['char']}, theta {r['theta']}: "
-              f"s = {r['s']}, r_plus = {r['r_plus']}, s_plus = {r['s_plus']}")
+        for (h, q), (rank, torsion) in sorted(table.entries.items()):
+            tor = " + ".join(f"Z/{t}" for t in torsion)
+            free = f"Z^{rank}" if rank else ""
+            body = " + ".join(x for x in (free, tor) if x) or "0"
+            print(f"  h={h:>3} q={q:>3}  {body}")
+        print(f"char {res.char}, theta {res.theta.kind}: "
+              f"s = {res.s_classical}, r_plus = {res.r_plus}, "
+              f"s_plus = {res.s_plus}")
     return 0
 
 
@@ -128,8 +118,8 @@ def cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _torus_cases(max_n: int):
-    for n in range(2, max_n + 1):
+def _torus_cases(max_n: int | None):
+    for n in range(2, (3 if max_n is None else max_n) + 1):
         for qr in range(0, n // 2 + 1):
             yield n, qr
 
@@ -307,7 +297,7 @@ def cmd_table(args) -> int:
             d = torus_link(TorusLinkSpec(n, qr))
             jobs.append((f"torus:{n}:{qr}", serialize_pd(d), args.char,
                          theta.kind))
-    elif args.pd_file:
+    else:
         with open(args.pd_file) as fh:
             for i, line in enumerate(fh):
                 line = line.strip()
@@ -358,13 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("suite", choices=sorted(_SUITES))
-    pv.add_argument("--max-n", type=int, default=3)
+    pv.add_argument("--max-n", type=int, help="prop1 only (default 3)")
     pv.set_defaults(fn=cmd_verify)
 
     pt = sub.add_parser("table", help="batch table over a family")
-    pt.add_argument("--family", choices=("torus",))
-    pt.add_argument("--max-n", type=int, default=3)
-    pt.add_argument("--pd-file", help="file with one PD code per line")
+    source = pt.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", choices=("torus",))
+    source.add_argument("--pd-file", help="file with one PD code per line")
+    pt.add_argument("--max-n", type=int, help="--family only (default 3)")
     pt.add_argument("--format", choices=("json", "csv"), default="csv")
     pt.add_argument("--threads", type=int, default=1)
     field_options(pt)
@@ -373,7 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "max_n", None) is not None:
+        if args.cmd == "verify" and args.suite != "prop1":
+            parser.error(f"--max-n is read by prop1 only, not {args.suite}")
+        if args.cmd == "table" and args.pd_file:
+            parser.error("--max-n is read with --family only")
     try:
         return args.fn(args)
     except (PDError, OSError, ValueError) as e:

@@ -260,9 +260,7 @@ class DecomposedComplex:
     ``reduced`` is homotopy equivalent to the original complex; the original
     splits as reduced ⊕ (acyclic two-step pieces).  ``pairs`` records each
     cancelled pair as (h, level_of_source, level_of_target): the source sits
-    in degree h, the target in degree h+1.  Pairs with equal levels are
-    filtration-preserving ("A" pairs); pairs with a positive level jump carry
-    spectral-sequence differentials ("E" pairs).
+    in degree h, the target in degree h+1.
 
     ``push`` maps a chain of the original complex (per-degree sparse vectors
     over the original bases) to its image in the reduced basis, and ``lift``
@@ -277,14 +275,20 @@ class DecomposedComplex:
     _steps: list[tuple] = field(default_factory=list, repr=False)
 
 
-def filtered_reduce(cx: FilteredComplex,
-                    max_jump: int | None = None) -> DecomposedComplex:
-    """Cancel invertible differential entries, smallest filtration jump first.
+def unreduced(cx: FilteredComplex) -> DecomposedComplex:
+    """The decomposition that cancels nothing: ``cx`` itself, zero steps."""
+    return DecomposedComplex(
+        cx, [], {h: list(range(cx.dim(h))) for h in cx.degrees()})
 
-    Ties are broken by (source index, target index) so the output is
-    deterministic.  If ``max_jump`` is given, only pairs whose filtration
-    jump is <= max_jump are cancelled (jump 0 pairs preserve the filtered
-    chain homotopy type on the nose).
+
+def filtered_reduce(cx: FilteredComplex) -> DecomposedComplex:
+    """Cancel the invertible level-preserving ("jump-0") differential entries.
+
+    Such a cancellation is a filtered chain homotopy equivalence, so the
+    reduced complex keeps the filtered homotopy type on the nose.  Entries
+    are taken in (degree, source index, target index) order, then the
+    level-preserving entries that cancellations create in the order they
+    appear, so the output is deterministic.
     """
     ops = cx.ops
     coeff, unit = ops.coeff, ops.is_unit
@@ -305,50 +309,25 @@ def filtered_reduce(cx: FilteredComplex,
 
     pairs: list[tuple[int, int, int]] = []
     steps: list[tuple] = []
-
-    while True:
-        # global rescan for the minimal jump among cancellable entries
-        level = None
-        for h, out_h in out_.items():
-            lv, lv1, alive1 = levels[h], levels.get(h + 1), alive.get(h + 1)
-            for j, col in out_h.items():
-                if not alive[h][j]:
-                    continue
-                for i, v in col.items():
-                    if alive1[i] and unit(v):
-                        jp = lv1[i] - lv[j]
-                        if level is None or jp < level:
-                            level = jp
-        if level is None or (max_jump is not None and level > max_jump):
-            break
-        # drain all entries at this jump level; cancellations only create
-        # entries with jump >= level, so the minimum cannot drop below it
-        queue = []
-        for h, out_h in out_.items():
-            lv, lv1 = levels[h], levels.get(h + 1)
-            queue.extend((h, j, i) for j, col in out_h.items()
-                         for i in col if lv1[i] - lv[j] == level)
-        queue.sort()
-        qi = 0
-        while qi < len(queue):
-            h, j0, i0 = queue[qi]
-            qi += 1
-            alive_h, alive1 = alive[h], alive[h + 1]
-            if not (alive_h[j0] and alive1[i0]):
-                continue
-            out_h = out_[h]
-            v = out_h.get(j0, {}).get(i0)
-            if v is None or not unit(v):
-                continue
-            changed = _cancel(ops, out_, in_, h, j0, i0, steps)
-            lv, lv1 = levels[h], levels[h + 1]
-            pairs.append((h, lv[j0], lv1[i0]))
-            alive_h[j0] = False
-            alive1[i0] = False
-            for (j, i) in changed:
-                if (alive_h[j] and alive1[i] and i in out_h.get(j, ())
-                        and lv1[i] - lv[j] == level):
-                    queue.append((h, j, i))
+    queue = []
+    for h, out_h in out_.items():
+        lv, lv1 = levels[h], levels.get(h + 1)
+        queue.extend((h, j, i) for j, col in out_h.items()
+                     for i in col if lv1[i] == lv[j])
+    queue.sort()
+    # The loop also visits the entries appended to ``queue`` as it runs.  A
+    # cancelled generator keeps no entries, so a queued entry that lost an
+    # end reads as absent here, and every changed entry is live.
+    for h, j0, i0 in queue:
+        v = out_[h].get(j0, {}).get(i0)
+        if v is None or not unit(v):
+            continue
+        changed = _cancel(ops, out_, in_, h, j0, i0, steps)
+        lv, lv1 = levels[h], levels[h + 1]
+        pairs.append((h, lv[j0], lv1[i0]))
+        alive[h][j0] = False
+        alive[h + 1][i0] = False
+        queue.extend((h, j, i) for (j, i) in changed if lv1[i] == lv[j])
     survivors = {h: [j for j, a in enumerate(alive[h]) if a]
                  for h in alive}
     new_levels = {h: [levels[h][j] for j in survivors[h]]

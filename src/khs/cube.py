@@ -195,18 +195,17 @@ def khovanov_homology(d: OrientedLinkDiagram, ring: str = "Z",
 
     ``optimized`` cancels ±1 pivots (a chain homotopy equivalence) before
     running the per-slice rank / Smith normal form computations; the naive
-    path works on the unreduced slices directly.
+    path cancels nothing.
     """
-    from .complexes import filtered_reduce, q_slice
+    from .complexes import filtered_reduce, q_slice, unreduced
 
+    reduce = filtered_reduce if optimized else unreduced
     cube = build_complex(d, "khovanov", ring)
     entries: dict[tuple[int, int], tuple[int, list[int]]] = {}
     qs = sorted({q for h in cube.complex.degrees()
                  for q in cube.complex.levels[h]})
     for q in qs:
-        sl, _ = q_slice(cube.complex, q)
-        if optimized:
-            sl = filtered_reduce(sl).reduced
+        sl = reduce(q_slice(cube.complex, q)[0]).reduced
         if ring == "Z":
             for h, (free, tors) in sl.homology_integral().items():
                 if free or tors:

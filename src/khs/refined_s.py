@@ -43,6 +43,7 @@ from .complexes import (
     push_chain,
     q_slice,
     sublevel_homology,
+    unreduced,
 )
 from .cube import CubeComplex, build_complex, canonical_cycle
 from .links import OrientedLinkDiagram, serialize_pd
@@ -143,10 +144,10 @@ class DisjointUnionReport:
 class _Pipeline:
     """Shared state for all fullness computations over one (diagram, char).
 
-    ``optimized`` runs jump-0 Gaussian reduction on the deformed complex
-    first (so sublevel/graded homology is computed on a complex of
-    homology size) and reduces integral q-slices before extracting Sq¹;
-    the naive path works on the raw cube throughout.  Certificates are
+    ``optimized`` cancels the jump-0 pairs of the deformed complex (so
+    sublevel/graded homology is computed on a much smaller complex) and of
+    each integral q-slice before extracting Sq¹; the naive path is the same
+    pipeline with nothing cancelled (:func:`unreduced`).  Certificates are
     always expressed in original cube coordinates.
     """
 
@@ -158,23 +159,17 @@ class _Pipeline:
             raise ValueError("characteristic must be 0 or 2")
         self.d = d
         self.char = char
-        self.optimized = optimized
+        self.reduce = filtered_reduce if optimized else unreduced
         self.ring = "gf2" if char == 2 else "Q"
         self.ops = linalg.RINGS[self.ring]
         self.theory = "bar_natan" if char == 2 else "lee"
         self.cube = build_complex(d, self.theory, self.ring)
         self.s_o_orig = canonical_cycle(self.cube)
         self.s_ob_orig = canonical_cycle(self.cube, reverse=True)
-        if optimized:
-            self.dec = filtered_reduce(self.cube.complex, max_jump=0)
-            self.cx = self.dec.reduced
-            self.s_o = push_chain(self.dec, 0, self.s_o_orig)
-            self.s_ob = push_chain(self.dec, 0, self.s_ob_orig)
-        else:
-            self.dec = None
-            self.cx = self.cube.complex
-            self.s_o = dict(self.s_o_orig)
-            self.s_ob = dict(self.s_ob_orig)
+        self.dec = self.reduce(self.cube.complex)
+        self.cx = self.dec.reduced
+        self.s_o = push_chain(self.dec, 0, self.s_o_orig)
+        self.s_ob = push_chain(self.dec, 0, self.s_ob_orig)
         self.full_reps = homology_reps(self.cx, 0)
         self.w_o = class_coords(self.cx, 0, self.full_reps, self.s_o)
         self.w_ob = class_coords(self.cx, 0, self.full_reps, self.s_ob)
@@ -222,11 +217,8 @@ class _Pipeline:
         zsl, zkeep = q_slice(self.cube_z.complex, q)
         out: list[tuple[Column, list]] = []
         if zsl.dim(-1) and zsl.dim(0):
-            if self.optimized:
-                zdec = filtered_reduce(zsl)
-                zred = zdec.reduced
-            else:
-                zdec, zred = None, zsl
+            zdec = self.reduce(zsl)
+            zred = zdec.reduced
             f2 = FilteredComplex("gf2", zred.levels, zred.diff)
             src = homology_reps(f2, -1)
             back_src = zkeep.get(-1, [])
@@ -234,19 +226,15 @@ class _Pipeline:
             gcx, gkeep, greps = self.gr(q)
             gpos = {g: k for k, g in enumerate(gkeep.get(0, []))}
             for rep in src:
-                w_loc = bockstein_chain(zred, -1, rep)
-                if zdec is not None:
-                    u_loc = {k: v % 2 for k, v in
-                             lift_chain(zdec, -1, rep).items() if v % 2}
-                    w_loc = {k: v % 2 for k, v in
-                             lift_chain(zdec, 0, w_loc).items() if v % 2}
-                else:
-                    u_loc = rep
-                u_orig = {back_src[k]: 1 for k in u_loc}
-                w_orig = {back_tgt[k]: 1 for k in w_loc}
+                # lift the mod-2 chains through the integral reduction and
+                # keep their odd entries
+                u_loc = lift_chain(zdec, -1, rep)
+                w_loc = lift_chain(zdec, 0, bockstein_chain(zred, -1, rep))
+                u_orig = {back_src[k]: 1 for k, v in u_loc.items() if v % 2}
+                w_orig = {back_tgt[k]: 1 for k, v in w_loc.items() if v % 2}
                 # express the image class in the gr basis of the working
-                # complex (push through the jump-0 reduction if present)
-                w_cx = push_chain(self.dec, 0, w_orig) if self.dec else w_orig
+                # complex
+                w_cx = push_chain(self.dec, 0, w_orig)
                 local = {gpos[i]: v for i, v in w_cx.items() if i in gpos}
                 coords = class_coords(gcx, 0, greps, local)
                 if coords is None:
@@ -328,11 +316,6 @@ class _Pipeline:
                 out.append((alpha, beta, a, c))
         return out
 
-    def any_witness(self, q: int, mode: str):
-        """Some witness with (α, β) ≠ 0, or None if q is not (θ-)half-full."""
-        wits = self.all_witnesses(q, mode)
-        return wits[0] if wits else None
-
     # -- certificates ---------------------------------------------------------
 
     def certificate(self, q: int, alpha, beta, a: dict, c: dict,
@@ -347,7 +330,7 @@ class _Pipeline:
                     x_cx[i] = nv
                 else:
                     x_cx.pop(i, None)
-        x = lift_chain(self.dec, 0, x_cx) if self.dec else dict(x_cx)
+        x = lift_chain(self.dec, 0, x_cx)
         # j-condition witness: d(y) = x − α·𝔰_𝔬 − β·𝔰_𝔬̄ in the original cube
         cx0 = self.cube.complex
         target: Column = dict(x)
@@ -433,8 +416,8 @@ def _char_for(theta: ThetaOperation, char: int | None) -> int:
 
 
 def fullness(d: OrientedLinkDiagram, q: int, theta: ThetaOperation = ZERO,
-             char: int | None = None, optimized: bool = True,
-             _pipe: _Pipeline | None = None) -> FullnessResult:
+             char: int | None = None,
+             optimized: bool = True) -> FullnessResult:
     """Classify level q as not / half-full / full (θ-refined for Sq¹).
 
     For θ = Zero this is the plain condition im(j) ∩ W; for θ = Sq¹ it is
@@ -445,8 +428,7 @@ def fullness(d: OrientedLinkDiagram, q: int, theta: ThetaOperation = ZERO,
         raise ValueError("fullness is undefined for the empty link")
     if q % 2 != d.component_count % 2:
         raise ValueError(f"level q={q} violates the component parity")
-    pipe = _pipe or _Pipeline(d, char, optimized,
-                              need_sq1=theta.kind == "sq1")
+    pipe = _Pipeline(d, char, optimized, need_sq1=theta.kind == "sq1")
     mode = "plain" if theta.kind == "zero" else "sq1"
     dim = pipe.v_dim(q, mode)
     status = "not" if dim == 0 else ("half_full" if dim == 1 else "full")
@@ -501,10 +483,10 @@ def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
             certs["r_plus"] = pipe.certificate(s + 1, alpha, beta, *sol, mode)
             break
     if r_plus_v == s:
-        wit = pipe.any_witness(s - 1, mode)
-        if wit is None:
+        wits = pipe.all_witnesses(s - 1, mode)
+        if not wits:
             raise AssertionError("s−1 must be θ-half-full by the dichotomy")
-        alpha, beta, a, c = wit
+        alpha, beta, a, c = wits[0]
         certs["r_plus"] = pipe.certificate(s - 1, alpha, beta, a, c, mode)
 
     # s₊ criterion: x ∈ H⁰(C^{≥ s−1}) with j(x) = [𝔰_𝔬], p(x) ∈ im θ

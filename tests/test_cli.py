@@ -135,12 +135,18 @@ GOLDEN = Path(__file__).parent / "data"
     ("9_42", "2", "sq1", "9_42_c2_sq1.json"),
     ("9_42", "0", "zero", "9_42_c0_zero.json"),
     ("torus:3:1", "2", "sq1", "torus_3_1_c2_sq1.json"),
+    ("9_42", "2", "sq1", "9_42_c2_sq1.csv"),
+    ("9_42", "2", "sq1", "9_42_c2_sq1.text"),
+    ("torus:3:1", "2", "sq1", "torus_3_1_c2_sq1.csv"),
+    ("torus:3:1", "2", "sq1", "torus_3_1_c2_sq1.text"),
 ])
 def test_compute_json_golden(capsys, link, char, theta, name):
     # [DERIVED] stdout is a fixed interface: byte-identical to the recorded
-    # output, certificate chains included.
+    # output, certificate chains included.  The file suffix names the
+    # --format.
+    fmt = name.rsplit(".", 1)[1]
     code, out, _ = run(capsys, "compute", "--link", link, "--char", char,
-                       "--theta", theta, "--format", "json")
+                       "--theta", theta, "--format", fmt)
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
 
@@ -153,6 +159,10 @@ def test_compute_json_golden(capsys, link, char, theta, name):
     ("verify", "prop1", "--corpus", "small"),
     ("compute", "--link", "unknot", "--threads", "2"),
     ("table", "--family", "torus", "--format", "text"),
+    ("verify", "adjunction-942", "--max-n", "9"),
+    ("table",),
+    ("table", "--family", "torus", "--pd-file", "links.pd"),
+    ("table", "--pd-file", "links.pd", "--max-n", "7"),
 ])
 def test_options_a_subcommand_does_not_read_exit_2(capsys, argv):
     # [TRIVIAL] each subcommand takes only the options its handler reads.
