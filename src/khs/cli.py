@@ -80,8 +80,8 @@ def cmd_compute(args) -> int:
     for name, cert in res.certificates.items():
         if cert is not None and not validate_certificate(d, cert):
             raise AssertionError(
-                f"certificate re-validation failed: {name} at q={cert.q} "
-                f"for link {res.link}")
+                f"certificate re-validation failed: {name} at q={cert.q}, "
+                f"h=0, for link {res.link}")
     if args.oracle:
         naive_table = khovanov_homology(d, ring="Z", optimized=False)
         if naive_table.entries != table.entries:
@@ -324,6 +324,17 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(low: int):
+    """argparse ``type=`` for an integer count of at least ``low``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="khs",
@@ -348,16 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("suite", choices=sorted(_SUITES))
-    pv.add_argument("--max-n", type=int, help="prop1 only (default 3)")
+    pv.add_argument("--max-n", type=_at_least(2),
+                    help="prop1 only (default 3)")
     pv.set_defaults(fn=cmd_verify)
 
     pt = sub.add_parser("table", help="batch table over a family")
     source = pt.add_mutually_exclusive_group(required=True)
     source.add_argument("--family", choices=("torus",))
     source.add_argument("--pd-file", help="file with one PD code per line")
-    pt.add_argument("--max-n", type=int, help="--family only (default 3)")
+    pt.add_argument("--max-n", type=_at_least(2),
+                    help="--family only (default 3)")
     pt.add_argument("--format", choices=("json", "csv"), default="csv")
-    pt.add_argument("--threads", type=int, default=1)
+    pt.add_argument("--threads", type=_at_least(1), default=1)
     field_options(pt)
     pt.set_defaults(fn=cmd_table)
     return ap

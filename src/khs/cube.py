@@ -61,58 +61,50 @@ class CubeComplex:
         return f"v{vs}:" + "".join("x" if l else "1" for l in labels)
 
 
-def build_complex(d: OrientedLinkDiagram, theory: str,
-                  ring: str = "gf2") -> CubeComplex:
-    """Build the cube complex of ``d`` for the given Frobenius theory."""
-    if theory not in _THEORIES:
-        raise ValueError(f"unknown theory {theory!r}")
-    spec = _THEORIES[theory]
-    if ring not in spec["rings"]:
-        raise ValueError(f"theory {theory!r} not available over ring {ring!r}")
+def _skeleton(d: OrientedLinkDiagram) -> tuple:
+    """The theory- and orientation-free part of the cube of ``d``, kept on
+    ``d``.  It reads only ``crossings`` and ``free_loops``.
+
+    Generators, index and q − (n₊ − 2n₋) are keyed by |v|, not by
+    h = |v| − n₋; each vertex is (|v|, block offset, circle count, edges).
+    Within a vertex block the labelings are lexicographic, so a
+    generator's index is the block offset plus its labels read as binary
+    (circle 0 most significant).  An edge v -> w sends labeling ``lab`` to
+    ``off_w + pattern[lab]`` with its touched circles zeroed; the interned
+    pattern carries the untouched circles over by arc membership.  The
+    edge also keeps the bit positions s1, s2 of the touched circles in v
+    and its shape (merge, sign, u1, u2), u1 and u2 being their positions
+    in w.
+    """
+    if d._cube_skeleton is not None:
+        return d._cube_skeleton
     n = d.n_crossings
-    np_, nm = d.n_plus, d.n_minus
-
-    vert_circ: dict[int, tuple] = {}
-    for v in range(1 << n):
-        vertex = tuple((v >> i) & 1 for i in range(n))
-        vert_circ[v] = resolution_circles(d, vertex)
-
+    vert_circ = [resolution_circles(d, [(v >> i) & 1 for i in range(n)])
+                 for v in range(1 << n)]
     gens: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     index: dict[int, dict[tuple[int, tuple[int, ...]], int]] = {}
     levels: dict[int, list[int]] = {}
     offset: list[int] = []  # per vertex: index of its first generator
-    for v in range(1 << n):
-        h = bin(v).count("1") - nm
-        circles, _, _ = vert_circ[v]
-        glist = gens.setdefault(h, [])
-        gidx = index.setdefault(h, {})
-        lv = levels.setdefault(h, [])
-        base_q = bin(v).count("1") + np_ - 2 * nm
+    labelings: dict[int, list[tuple[int, ...]]] = {}  # shared label tuples
+    for v, (circles, _, _) in enumerate(vert_circ):
+        p, k = bin(v).count("1"), len(circles)
+        glist = gens.setdefault(p, [])
+        gidx = index.setdefault(p, {})
+        lv = levels.setdefault(p, [])
         offset.append(len(glist))
-        for labels in product((0, 1), repeat=len(circles)):
-            gidx[(v, labels)] = len(glist)
-            glist.append((v, labels))
-            lv.append(base_q + len(circles) - 2 * sum(labels))
-
-    # Within a vertex block the labelings are lexicographic, so a
-    # generator's index is the block offset plus its labels read as binary
-    # (circle 0 most significant).  Each edge v -> w then maps a labeling
-    # to a target index by a table over the untouched circles plus the
-    # Frobenius rule on the one or two touched circles.  Distinct terms
-    # of one column always hit distinct targets, so nothing accumulates,
-    # and columns fill edge by edge in the order a per-generator loop
-    # would insert them.  Keys are the shared ints of ``index``.
-    m_rule, d_rule = spec["m"], spec["delta"]
-    diff: dict[int, list[Column]] = {h: [{} for _ in gens[h]]
-                                     for h in sorted(gens)}
-    ids = {h: list(gidx.values()) for h, gidx in index.items()}
-    for v in range(1 << n):
-        h = bin(v).count("1") - nm
-        circles_v, _, cr_v = vert_circ[v]
+        if k not in labelings:
+            labelings[k] = list(product((0, 1), repeat=k))
+        for labels in labelings[k]:
+            gen = (v, labels)
+            gidx[gen] = len(glist)
+            glist.append(gen)
+            lv.append(p + k - 2 * sum(labels))
+    patterns: dict[tuple, tuple] = {}
+    shapes: dict[tuple, tuple] = {}
+    vertices = []
+    for v, (circles_v, _, cr_v) in enumerate(vert_circ):
         kv = len(circles_v)
-        nonfree_v = kv - d.free_loops
-        block = diff[h][offset[v]:offset[v] + (1 << kv)]
-        tgt = ids.get(h + 1)
+        edges = []
         for ci in range(n):
             if (v >> ci) & 1:
                 continue
@@ -120,36 +112,80 @@ def build_complex(d: OrientedLinkDiagram, theory: str,
             sign = -1 if bin(v & ((1 << ci) - 1)).count("1") % 2 else 1
             circles_w, arc_circle_w, cr_w = vert_circ[w]
             kw = len(circles_w)
-            nonfree_w = kw - d.free_loops
             c1, c2 = cr_v[ci]
             t1, t2 = cr_w[ci]
-            # labels of untouched circles carry over by arc membership
-            table = [offset[w]]
-            for c in range(kv):
-                if c in (c1, c2):
-                    bit = 0
-                elif c >= nonfree_v:  # free loop
-                    bit = 1 << (kw - 1 - (nonfree_w + c - nonfree_v))
+            # an untouched circle keeps its label, found in w by one of its
+            # arcs; the free loops (no arcs) end both circle lists
+            bits = tuple(
+                0 if c in (c1, c2) else 1 << (kw - 1 - (
+                    arc_circle_w[circ[0]] if circ else c + kw - kv))
+                for c, circ in enumerate(circles_v))
+            pattern = patterns.get(bits)
+            if pattern is None:
+                table = [0]
+                for bit in bits:
+                    table = [t + x for t in table for x in (0, bit)]
+                pattern = patterns[bits] = tuple(table)
+            shape = (c1 != c2, sign, kw - 1 - t1, kw - 1 - t2)
+            edges.append((offset[w], pattern, kv - 1 - c1, kv - 1 - c2,
+                          shapes.setdefault(shape, shape)))
+        vertices.append((bin(v).count("1"), offset[v], kv, edges))
+    ids = {p: list(gidx.values()) for p, gidx in index.items()}
+    d._cube_skeleton = (gens, index, levels, ids, vertices)
+    return d._cube_skeleton
+
+
+def build_complex(d: OrientedLinkDiagram, theory: str,
+                  ring: str = "gf2") -> CubeComplex:
+    """Build the cube complex of ``d`` for the given Frobenius theory.
+
+    The resolution pass, generator layout and edge tables come from the
+    diagram's skeleton, computed on its first build and shared by every
+    later one: ``gens`` and ``index`` are the same lists and dicts in each
+    cube.  Each build makes its own levels and differential: h = |v| − n₋
+    and the q shift n₊ − 2n₋ are read from the current orientation, and
+    the columns are filled by the theory's Frobenius rule.
+    """
+    if theory not in _THEORIES:
+        raise ValueError(f"unknown theory {theory!r}")
+    spec = _THEORIES[theory]
+    if ring not in spec["rings"]:
+        raise ValueError(f"theory {theory!r} not available over ring {ring!r}")
+    gens, index, base_levels, ids, vertices = _skeleton(d)
+    nm, shift = d.n_minus, d.n_plus - 2 * d.n_minus
+    # Distinct terms of one column always hit distinct targets, so nothing
+    # accumulates, and columns fill edge by edge in the order a
+    # per-generator loop would insert them.  Keys are the shared ints of
+    # ``index``.
+    m_rule, d_rule = spec["m"], spec["delta"]
+    diff: dict[int, list[Column]] = {p - nm: [{} for _ in glist]
+                                     for p, glist in gens.items()}
+    terms_of: dict[tuple, list] = {}  # per edge shape, by touched labels
+    for p, off_v, kv, edges in vertices:
+        block = diff[p - nm][off_v:off_v + (1 << kv)]
+        tgt = ids.get(p + 1)
+        for off_w, pattern, s1, s2, shape in edges:
+            terms = terms_of.get(shape)
+            if terms is None:
+                merge, sign, u1, u2 = shape
+                if merge:
+                    terms = [tuple((lab << u1, sign * coeff)
+                                   for lab, coeff in m_rule[(a, b)])
+                             for a in (0, 1) for b in (0, 1)]
                 else:
-                    bit = 1 << (kw - 1 - arc_circle_w[circles_v[c][0]])
-                table = [t + x for t in table for x in (0, bit)]
-            s1, s2 = kv - 1 - c1, kv - 1 - c2
-            u1, u2 = kw - 1 - t1, kw - 1 - t2
-            if c1 != c2:  # merge
-                terms = [tuple((lab << u1, sign * coeff)
-                               for lab, coeff in m_rule[(a, b)])
-                         for a in (0, 1) for b in (0, 1)]
-            else:  # split
-                terms = [tuple(((la << u1) | (lb << u2), sign * coeff)
-                               for la, lb, coeff in d_rule[a])
-                         for a in (0, 1) for _ in (0, 1)]
+                    terms = [tuple(((la << u1) | (lb << u2), sign * coeff)
+                                   for la, lb, coeff in d_rule[a])
+                             for a in (0, 1) for _ in (0, 1)]
+                terms_of[shape] = terms
             for lab, col in enumerate(block):
-                base = table[lab]
+                base = off_w + pattern[lab]
                 for delta, coeff in terms[((lab >> s1) & 1) << 1
                                           | ((lab >> s2) & 1)]:
                     col[tgt[base + delta]] = coeff
+    levels = {p - nm: [q + shift for q in lv] for p, lv in base_levels.items()}
     cx = FilteredComplex(ring, levels, diff)
-    return CubeComplex(d, theory, cx, gens, index)
+    return CubeComplex(d, theory, cx, {p - nm: g for p, g in gens.items()},
+                       {p - nm: i for p, i in index.items()})
 
 
 def with_ring(cube: CubeComplex, ring: str) -> CubeComplex:

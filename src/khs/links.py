@@ -55,6 +55,10 @@ class OrientedLinkDiagram:
     # Derived, filled in by __post_init__:
     arc_component: dict[int, int] = field(default_factory=dict, repr=False)
     component_count: int = 0
+    # the cube skeleton of ``crossings`` and ``free_loops``, built on first
+    # use by ``khs.cube``
+    _cube_skeleton: tuple | None = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.crossings = sorted(self.crossings, key=lambda c: c.quad)

@@ -118,13 +118,17 @@ class RefinedSResult:
     certificates: dict[str, FullnessCertificate | None]
 
     def __post_init__(self) -> None:
+        values = (self.s_classical, self.r_plus, self.s_plus)
+        where = (f" (s, r_plus, s_plus) = {values}, h=0, "
+                 f"for link {self.link}")
         for v in (self.r_plus, self.s_plus):
             if v not in (self.s_classical, self.s_classical + 2):
-                raise AssertionError("refined invariant outside {s, s+2}")
+                raise AssertionError("refined invariant outside {s, s+2}"
+                                     + where)
         parity = (self.component_count + 1) % 2
-        for v in (self.s_classical, self.r_plus, self.s_plus):
-            if v % 2 != parity:
-                raise AssertionError("invariant parity violates components+1")
+        if any(v % 2 != parity for v in values):
+            raise AssertionError("invariant parity violates components+1"
+                                 + where)
 
 
 @dataclass
@@ -174,10 +178,12 @@ class _Pipeline:
         self.w_o = class_coords(self.cx, 0, self.full_reps, self.s_o)
         self.w_ob = class_coords(self.cx, 0, self.full_reps, self.s_ob)
         if self.w_o is None or self.w_ob is None:
-            raise AssertionError("canonical chain is not a cycle of C")
+            raise AssertionError(self._failure(
+                "canonical chain is not a cycle of C", None))
         if self.ops.rank([self._coords_col(self.w_o),
                           self._coords_col(self.w_ob)]) != 2:
-            raise AssertionError("canonical classes are not independent")
+            raise AssertionError(self._failure(
+                "canonical classes are not independent", None))
         self.cube_z: CubeComplex | None = None
         if need_sq1:
             if char != 2:
@@ -238,7 +244,8 @@ class _Pipeline:
                 local = {gpos[i]: v for i, v in w_cx.items() if i in gpos}
                 coords = class_coords(gcx, 0, greps, local)
                 if coords is None:
-                    raise AssertionError("Sq¹ image is not a graded cycle")
+                    raise AssertionError(self._failure(
+                        "Sq¹ image is not a graded cycle", q))
                 out.append((u_orig, coords))
         self._theta_cache[q] = out
         return out
@@ -339,8 +346,8 @@ class _Pipeline:
                 target[i] = target.get(i, 0) - coef * v
         y = self.ops.solve(cx0.columns(-1), target, cx0.dim(0))
         if y is None:
-            raise AssertionError(self._failure("j-condition witness solve",
-                                               q))
+            raise AssertionError(self._failure(
+                "j-condition witness solve failed", q))
         u = None
         z = None
         if mode != "plain":
@@ -361,8 +368,8 @@ class _Pipeline:
             xq_loc = {gpos[i]: v for i, v in xq.items()}
             z_loc = self.ops.solve(gcx0.columns(-1), xq_loc, gcx0.dim(0))
             if z_loc is None:
-                raise AssertionError(self._failure("p-condition witness solve",
-                                                   q))
+                raise AssertionError(self._failure(
+                    "p-condition witness solve failed", q))
             back = gkeep0.get(-1, [])
             z = {back[k]: v for k, v in z_loc.items() if v}
         gid0 = lambda i: self.cube.gen_id(0, i)
@@ -375,8 +382,11 @@ class _Pipeline:
             z={gidm1(i): v for i, v in z.items()} if z is not None else None,
         )
 
-    def _failure(self, stage: str, q: int) -> str:
-        return f"{stage} failed at q={q} for link {serialize_pd(self.d)}"
+    def _failure(self, stage: str, q: int | None) -> str:
+        """Exit-3 message naming the stage, the level q (None: a statement
+        about every level) and the link; every claim here is in h = 0."""
+        where = "all q" if q is None else f"q={q}"
+        return f"{stage} at {where}, h=0, for link {serialize_pd(self.d)}"
 
     # -- the invariants -------------------------------------------------------
 
@@ -391,9 +401,11 @@ class _Pipeline:
         while self.v_dim(q, "plain") < 1:
             q -= 2
             if q < min(lvls):
-                raise AssertionError("no half-full level found")
+                raise AssertionError(self._failure(
+                    "no half-full level found", q))
         if self.v_dim(q, "plain") != 1 or self.v_dim(q - 2, "plain") != 2:
-            raise AssertionError("the two s-invariant formulas disagree")
+            raise AssertionError(self._failure(
+                "the two s-invariant formulas disagree", q))
         return q - 1
 
     def half_full_targets(self):
@@ -443,7 +455,8 @@ def fullness(d: OrientedLinkDiagram, q: int, theta: ThetaOperation = ZERO,
             if len(found) == dim:
                 break
         if len(found) != dim:
-            raise AssertionError("failed to realize the claimed dimension")
+            raise AssertionError(pipe._failure(
+                "failed to realize the claimed dimension", q))
     return FullnessResult(q, theta, dim, status, certs)
 
 
@@ -485,7 +498,8 @@ def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
     if r_plus_v == s:
         wits = pipe.all_witnesses(s - 1, mode)
         if not wits:
-            raise AssertionError("s−1 must be θ-half-full by the dichotomy")
+            raise AssertionError(pipe._failure(
+                "s−1 must be θ-half-full by the dichotomy", s - 1))
         alpha, beta, a, c = wits[0]
         certs["r_plus"] = pipe.certificate(s - 1, alpha, beta, a, c, mode)
 
@@ -497,10 +511,12 @@ def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
     else:
         s_plus_v = s
         if pipe.v_dim(s - 3, mode) != 2:
-            raise AssertionError("s−3 must be θ-full by the dichotomy")
+            raise AssertionError(pipe._failure(
+                "s−3 must be θ-full by the dichotomy", s - 3))
         sol = pipe.witness(s - 3, 1, 0, mode)
         if sol is None:
-            raise AssertionError("θ-full level admits no [𝔰_𝔬] witness")
+            raise AssertionError(pipe._failure(
+                "θ-full level admits no [𝔰_𝔬] witness", s - 3))
         certs["s_plus"] = pipe.certificate(s - 3, 1, 0, *sol, mode)
 
     if full_sweep:
@@ -509,7 +525,8 @@ def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
         half = [q for q in range(bot, top + 1, 2) if pipe.v_dim(q, mode) >= 1]
         full = [q for q in range(bot, top + 1, 2) if pipe.v_dim(q, mode) == 2]
         if max(half) + 1 != r_plus_v or max(full) + 3 != s_plus_v:
-            raise AssertionError("full q-sweep contradicts the criterion path")
+            raise AssertionError(pipe._failure(
+                "full q-sweep contradicts the criterion path", None))
 
     return RefinedSResult(link_id, d.component_count, char, theta,
                           s, r_plus_v, s_plus_v, certs)

@@ -212,3 +212,38 @@ def test_failed_revalidation_names_certificate_level_and_link(monkeypatch,
     assert code == 3 and out == ""
     assert "r_plus at q=" in err
     assert serialize_pd(builtin_diagram("trefoil")) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "prop1", "--max-n", "1"),
+    ("table", "--family", "torus", "--max-n", "0"),
+    ("table", "--family", "torus", "--max-n", "1"),
+    ("table", "--family", "torus", "--threads", "0"),
+    ("table", "--family", "torus", "--threads", "-3"),
+])
+def test_out_of_range_counts_exit_2(capsys, argv):
+    # [TRIVIAL] a count that leaves nothing to do (a vacuous prop1 pass, a
+    # header-only table) or names no worker is bad input, not success.
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_PARSE
+    assert capsys.readouterr().out == ""
+
+
+def test_internal_failure_names_stage_degree_level_and_link(monkeypatch,
+                                                            capsys):
+    # [TRIVIAL] an exit-3 message from the refined pipeline names the
+    # stage, h, q and the link; stdout stays empty.  With no witness at
+    # all, r_plus = s = 1 on the trefoil over F2 needs one at q = s − 1.
+    from khs.links import serialize_pd
+    from khs.refined_s import _Pipeline
+    from khs.tables import builtin_diagram
+
+    monkeypatch.setattr(_Pipeline, "witness", lambda *args: None)
+    monkeypatch.setattr(_Pipeline, "all_witnesses", lambda *args: [])
+    code, out, err = run(capsys, "compute", "--link", "trefoil",
+                         "--char", "2", "--theta", "sq1", "--format", "json")
+    assert code == 3 and out == ""
+    link = serialize_pd(builtin_diagram("trefoil"))
+    assert ("s−1 must be θ-half-full by the dichotomy at q=1, h=0, "
+            f"for link {link}") in err

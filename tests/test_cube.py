@@ -2,6 +2,8 @@
 
 from itertools import product
 
+import pytest
+
 from khs.cube import (
     _THEORIES,
     build_complex,
@@ -15,12 +17,14 @@ from khs.links import (
     braid_closure,
     empty_link,
     hopf_link,
+    parse_pd,
     resolution_circles,
+    serialize_pd,
     torus_link,
     trefoil,
     unknot,
 )
-from khs.tables import knot_9_42
+from khs.tables import builtin_diagram, knot_9_42
 
 
 def test_unknot_homology():
@@ -241,3 +245,57 @@ def test_build_complex_matches_reference():
                 for col_got, col_ref in zip(got, cols):
                     assert list(col_got.items()) == list(col_ref.items())
                     assert all(k is shared[k] for k in col_got)
+
+
+def _assert_reference(cube, d, theory):
+    """``cube`` equals the reference cube of ``d`` down to the insertion
+    order of every column."""
+    gens, index, levels, diff = _reference_cube(d, theory)
+    assert cube.gens == gens and cube.index == index
+    assert cube.complex.levels == levels
+    assert list(cube.complex.diff) == list(diff)
+    for h, cols in diff.items():
+        assert [list(c.items()) for c in cube.complex.diff[h]] == [
+            list(c.items()) for c in cols]
+
+
+@pytest.mark.parametrize("name", ["9_42", "torus:3:0"])
+def test_skeleton_cannot_serve_stale_gradings(name):
+    # [DERIVED] the cube skeleton a diagram keeps is orientation-free:
+    # flipping a component in place after a build moves h and q exactly as
+    # for a freshly parsed diagram with the same flags, also on the mirror.
+    d = builtin_diagram(name)
+    for diagram in (d, d.mirror()):
+        build_complex(diagram, "khovanov", "Z")
+        diagram.component_orientations[-1] ^= True
+        fresh = parse_pd(serialize_pd(diagram))
+        assert fresh.crossings == diagram.crossings
+        assert fresh.component_orientations == diagram.component_orientations
+        for theory, ring in (("khovanov", "Z"), ("bar_natan", "gf2")):
+            _assert_reference(build_complex(diagram, theory, ring), fresh,
+                              theory)
+    assert builtin_diagram("torus:3:0").n_minus == 0
+    if name == "torus:3:0":
+        assert d.n_minus == 4  # the flip changed the gradings
+
+
+def test_resolution_pass_runs_once_per_diagram(monkeypatch):
+    # [TRIVIAL] builds of one diagram object share one pass over the 2^n
+    # vertices, whatever the theory; a new object makes its own.
+    import khs.cube
+
+    calls = []
+    real = khs.cube.resolution_circles
+
+    def counted(d, vertex):
+        calls.append(vertex)
+        return real(d, vertex)
+
+    monkeypatch.setattr(khs.cube, "resolution_circles", counted)
+    d = knot_9_42()
+    for theory, ring in (("khovanov", "Z"), ("bar_natan", "gf2"),
+                         ("lee", "Q")):
+        build_complex(d, theory, ring)
+    assert len(calls) == 2 ** 9
+    build_complex(knot_9_42(), "khovanov", "Z")
+    assert len(calls) == 2 * 2 ** 9
