@@ -14,7 +14,7 @@ from khs import (
 from khs.serialize import homology_table_to_text, refined_result_to_text
 
 d = knot_9_42()
-print(homology_table_to_text(khovanov_homology(d, "Z", optimized=True)))
+print(homology_table_to_text(khovanov_homology(d, "Z")))
 print("Sq1 ranks:", sq1_table(d))
 res = refined_invariants(d, SQ1)
 print(refined_result_to_text(res))

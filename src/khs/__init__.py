@@ -22,7 +22,6 @@ from .refined_s import (
     RefinedSResult,
     ThetaOperation,
     adjunction_bound,
-    adjunction_check,
     disjoint_union_check,
     fullness,
     refined_invariants,
@@ -45,7 +44,6 @@ __all__ = [
     "TorusLinkSpec",
     "ZERO",
     "adjunction_bound",
-    "adjunction_check",
     "build_complex",
     "builtin_diagram",
     "determinant",

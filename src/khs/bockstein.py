@@ -60,16 +60,6 @@ class BocksteinMap:
         return linalg.gf2_rank(
             [sum(b << k for k, b in enumerate(row)) for row in self.matrix])
 
-    def image_coords(self) -> list[list[int]]:
-        """Deterministic basis of im(Sq¹) in target-rep coordinates."""
-        solver = linalg.GF2Solver()
-        basis = []
-        for row in self.matrix:
-            mask = sum(b << k for k, b in enumerate(row))
-            if solver.add(mask):
-                basis.append(row)
-        return basis
-
 
 def sq1(cube_z: CubeComplex, i: int, q: int,
         target_reps: list[Column] | None = None) -> BocksteinMap:

@@ -75,8 +75,8 @@ def _theta(args) -> ThetaOperation:
 def cmd_compute(args) -> int:
     d = _load_diagram(args)
     theta = _theta(args)
-    table = khovanov_homology(d, ring="Z", optimized=True)
-    res = refined_invariants(d, theta, char=args.char, optimized=True)
+    table = khovanov_homology(d, ring="Z")
+    res = refined_invariants(d, theta, char=args.char)
     for name, cert in res.certificates.items():
         if cert is not None and not validate_certificate(d, cert):
             raise AssertionError(

@@ -47,12 +47,15 @@ class FilteredComplex:
         return self.diff.get(h, [{} for _ in range(self.dim(h))])
 
     def _int_matrix(self, h: int) -> list[list[int]]:
-        """Dense matrix of d_h: rows indexed by C^{h+1}, columns by C^h."""
-        cols = self.columns(h)
-        mat = [[0] * self.dim(h) for _ in range(self.dim(h + 1))]
-        for j, col in enumerate(cols):
+        """Dense transpose of d_h: one list per generator of C^h, indexed
+        by C^{h+1} (rank and invariant factors do not see the transpose)."""
+        n = self.dim(h + 1)
+        mat = []
+        for col in self.columns(h):
+            dense = [0] * n
             for i, v in col.items():
-                mat[i][j] = int(v)
+                dense[i] = int(v)
+            mat.append(dense)
         return mat
 
     def rank_d(self, h: int) -> int:
@@ -181,7 +184,7 @@ def homology_reps(cx: FilteredComplex, h: int) -> list[Column]:
         return []
     ops = cx.ops
     if cx.dim(h + 1):
-        kernel = ops.nullspace(cx.columns(h), cx.dim(h + 1))
+        kernel = ops.nullspace(cx.columns(h))
     else:
         kernel = [{i: ops.coeff(1)} for i in range(dim)]
     return ops.independent(cx.columns(h - 1), kernel)

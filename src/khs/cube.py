@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from itertools import product
 
 from .complexes import Column, FilteredComplex, apply
-from .links import OrientedLinkDiagram, oriented_resolution, resolution_circles
+from .links import (
+    OrientedLinkDiagram,
+    oriented_resolution,
+    resolution_circles,
+    serialize_pd,
+)
 
 # Frobenius structure constants.  m maps a pair of labels to a list of
 # (label, coefficient); delta maps a label to a list of (label, label,
@@ -226,12 +231,12 @@ class HomologyTable:
 
 
 def khovanov_homology(d: OrientedLinkDiagram, ring: str = "Z",
-                      optimized: bool = False) -> HomologyTable:
+                      optimized: bool = True) -> HomologyTable:
     """Khovanov homology split by exact q-grading.
 
     ``optimized`` cancels ±1 pivots (a chain homotopy equivalence) before
     running the per-slice rank / Smith normal form computations; the naive
-    path cancels nothing.
+    path (``optimized=False``, the oracle) cancels nothing.
     """
     from .complexes import filtered_reduce, q_slice, unreduced
 
@@ -294,5 +299,6 @@ def canonical_cycle(cube: CubeComplex, reverse: bool = False) -> Column:
     chain = {k: c for k, c in chain.items() if c}
     if not cube.complex.ops.is_zero(apply(cube.complex.columns(0), chain)):
         raise AssertionError(
-            "canonical chain is not a cycle: labeling convention bug")
+            f"canonical {cube.theory} chain is not a cycle (labeling "
+            f"convention bug) at all q, h=0, for link {serialize_pd(d)}")
     return chain

@@ -1,8 +1,17 @@
 """Exact linear algebra over GF(2), the rationals, and the integers.
 
-GF(2) matrices are lists of Python-int bitmask rows (column j is bit j).
-Rational matrices are sparse ``{col: Fraction}`` row dicts.  Integer
-matrices for Smith normal form are dense lists of lists of ints.
+Each field has one elimination, an incremental echelon basis:
+:class:`GF2Echelon` over int bitmask vectors (index i is bit i), pivoting
+on a vector's highest set bit, and :class:`QEchelon` over sparse
+``{index: Fraction}`` vectors, pivoting on a vector's lowest index.  The
+kernels of both fields are loops over these:
+
+* ``gf2_rank`` and ``q_rank`` take any list of vectors, rows or columns;
+* ``gf2_nullspace``, ``q_nullspace`` and ``q_solve`` take the columns of
+  the matrix;
+* ``gf2_solve`` takes the rows and transposes them back into columns.
+
+Integer matrices for Smith normal form are dense lists of lists of ints.
 
 :data:`RINGS` puts one coefficient-ring object in front of these kernels
 for the chain-level code, which stores sparse ``{row: coeff}`` columns.
@@ -13,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 # ---------------------------------------------------------------------------
-# GF(2)
+# GF(2): vectors are int bitmasks
 # ---------------------------------------------------------------------------
 
 
@@ -29,74 +38,59 @@ def gf2_from_columns(cols: list[int], n_rows: int) -> list[int]:
     return rows
 
 
-def gf2_rank(rows: list[int]) -> int:
-    pivots: list[int] = []
-    for row in rows:
-        for p in pivots:
-            low = p & -p
-            if row & low:
-                row ^= p
-        if row:
-            pivots.append(row)
-    return len(pivots)
+class GF2Echelon:
+    """Incremental echelon basis of bitmask vectors, each pivot on its
+    vector's highest set bit.
 
-
-class GF2Solver:
-    """Incremental row-echelon basis supporting rank and membership tests."""
+    ``add`` and ``reduce`` take an optional ``comb`` that names the vector
+    as a combination of the added ones (a bitmask over the caller's
+    labels); it is updated alongside the vector only when given.
+    """
 
     def __init__(self) -> None:
-        self.pivots: dict[int, int] = {}  # pivot bit index -> reduced row
+        self.pivots: dict[int, tuple[int, int | None]] = {}
 
-    def reduce(self, row: int) -> int:
-        while row:
-            b = row.bit_length() - 1
-            piv = self.pivots.get(b)
+    def reduce(self, vec: int, comb: int | None = None):
+        """(remainder, comb) after subtracting pivots while one matches."""
+        pivot = self.pivots.get
+        while vec:
+            piv = pivot(vec.bit_length() - 1)
             if piv is None:
-                return row
-            row ^= piv
-        return 0
+                break
+            vec ^= piv[0]
+            if comb is not None:
+                comb ^= piv[1]
+        return vec, comb
 
-    def add(self, row: int) -> bool:
-        """Insert a row; returns True if it enlarged the span."""
-        row = self.reduce(row)
-        if row:
-            self.pivots[row.bit_length() - 1] = row
-            return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def contains(self, row: int) -> bool:
-        return self.reduce(row) == 0
+    def add(self, vec: int, comb: int | None = None):
+        """Reduce ``vec`` and keep a nonzero remainder as a new pivot."""
+        vec, comb = self.reduce(vec, comb)
+        if vec:
+            self.pivots[vec.bit_length() - 1] = (vec, comb)
+        return vec, comb
 
 
-def gf2_nullspace(rows: list[int], n_cols: int) -> list[int]:
-    """Basis of the right kernel, as column-vector bitmasks."""
-    # Gauss-Jordan on the rows, tracking pivot columns
-    rows = [r for r in rows if r]
-    pivots: list[tuple[int, int]] = []  # (pivot col, row)
-    for row in rows:
-        for pc, pr in pivots:
-            if (row >> pc) & 1:
-                row ^= pr
-        if row:
-            pc = row.bit_length() - 1
-            # back-substitute into earlier rows
-            for k, (pc2, pr2) in enumerate(pivots):
-                if (pr2 >> pc) & 1:
-                    pivots[k] = (pc2, pr2 ^ row)
-            pivots.append((pc, row))
-    pivot_cols = {pc for pc, _ in pivots}
-    free_cols = [j for j in range(n_cols) if j not in pivot_cols]
+def gf2_rank(vecs: list[int]) -> int:
+    ech = GF2Echelon()
+    for v in vecs:
+        ech.add(v)
+    return len(ech.pivots)
+
+
+def gf2_nullspace(cols: list[int]) -> list[int]:
+    """Basis of {λ : Σ λ_k·cols[k] = 0}, as bitmasks over the columns.
+
+    Scanning right to left, each column the later ones span gives its
+    relation to them, so the basis vector of free column j is 1 at j and
+    0 on the other free columns.  Sorted by j.
+    """
+    ech = GF2Echelon()
     basis = []
-    for j in free_cols:
-        vec = 1 << j
-        for pc, pr in pivots:
-            if (pr >> j) & 1:
-                vec |= 1 << pc
-        basis.append(vec)
+    for j in reversed(range(len(cols))):
+        rest, comb = ech.add(cols[j], 1 << j)
+        if not rest:
+            basis.append(comb)
+    basis.reverse()
     return basis
 
 
@@ -104,34 +98,19 @@ def gf2_solve(rows: list[int], n_cols: int, target: int) -> int | None:
     """One solution x (bitmask over columns) of A x = target, or None.
 
     ``rows`` are the rows of A; ``target`` is a bitmask over row indices.
+    The columns of A are eliminated in order, so x is supported on the
+    columns that no earlier column combination reaches.
     """
-    # eliminate on the columns of A (a transpose is its own inverse), in
-    # column order, pivoting on the highest set bit
-    pivots: dict[int, tuple[int, int]] = {}
+    ech = GF2Echelon()
+    add = ech.add
     for j, col in enumerate(gf2_from_columns(rows, n_cols)):
-        comb = 1 << j
-        while col:
-            b = col.bit_length() - 1
-            if b in pivots:
-                pc, pcomb = pivots[b]
-                col ^= pc
-                comb ^= pcomb
-            else:
-                pivots[b] = (col, comb)
-                break
-    t, tcomb = target, 0
-    while t:
-        b = t.bit_length() - 1
-        if b not in pivots:
-            return None
-        pc, pcomb = pivots[b]
-        t ^= pc
-        tcomb ^= pcomb
-    return tcomb
+        add(col, 1 << j)
+    rest, comb = ech.reduce(target, 0)
+    return None if rest else comb
 
 
 # ---------------------------------------------------------------------------
-# Rationals (sparse rows of Fractions)
+# Rationals: vectors are sparse {index: Fraction} dicts without zeros
 # ---------------------------------------------------------------------------
 
 QRow = dict[int, Fraction]
@@ -148,97 +127,76 @@ def q_row_sub(r: QRow, s: QRow, factor: Fraction) -> QRow:
     return out
 
 
-def q_rank(rows: list[QRow]) -> int:
-    pivots: list[tuple[int, QRow]] = []
-    for row in rows:
-        row = dict(row)
-        for pc, pr in pivots:
-            if pc in row:
-                row = q_row_sub(row, pr, row[pc] / pr[pc])
-        if row:
-            pc = min(row)
-            pivots.append((pc, row))
-    return len(pivots)
+class QEchelon:
+    """Incremental echelon basis of sparse rational vectors, each pivot on
+    its vector's lowest index.
+
+    ``comb`` works as in :class:`GF2Echelon`, as a sparse vector over the
+    caller's labels.
+    """
+
+    def __init__(self) -> None:
+        self.pivots: dict[int, tuple[QRow, QRow | None]] = {}
+
+    def reduce(self, vec: QRow, comb: QRow | None = None):
+        """(remainder, comb) after subtracting pivots while one matches."""
+        pivots = self.pivots
+        while vec:
+            b = min(vec)
+            piv = pivots.get(b)
+            if piv is None:
+                break
+            pv, pcomb = piv
+            f = vec[b] / pv[b]
+            vec = q_row_sub(vec, pv, f)
+            if comb is not None:
+                comb = q_row_sub(comb, pcomb, f)
+        return vec, comb
+
+    def add(self, vec: QRow, comb: QRow | None = None):
+        """Reduce ``vec`` and keep a nonzero remainder as a new pivot."""
+        vec, comb = self.reduce(vec, comb)
+        if vec:
+            self.pivots[min(vec)] = (vec, comb)
+        return vec, comb
 
 
-def q_nullspace(rows: list[QRow], n_cols: int) -> list[QRow]:
-    """Basis of the right kernel of a sparse rational matrix."""
-    pivots: list[tuple[int, QRow]] = []
-    for row in rows:
-        row = dict(row)
-        for pc, pr in pivots:
-            if pc in row:
-                row = q_row_sub(row, pr, row[pc] / pr[pc])
-        if row:
-            pc = min(row)
-            for k, (pc2, pr2) in enumerate(pivots):
-                if pc in pr2:
-                    pivots[k] = (pc2, q_row_sub(pr2, row, pr2[pc] / row[pc]))
-            pivots.append((pc, row))
-    pivot_cols = {pc for pc, _ in pivots}
+def q_rank(vecs: list[QRow]) -> int:
+    ech = QEchelon()
+    for v in vecs:
+        ech.add(v)
+    return len(ech.pivots)
+
+
+def q_nullspace(cols: list[QRow]) -> list[QRow]:
+    """Basis of {λ : Σ λ_k·cols[k] = 0}.
+
+    Scanning left to right, each column the earlier ones span gives its
+    relation to them, so the basis vector of free column j is 1 at j and
+    0 on the other free columns.  Sorted by j.
+    """
+    ech = QEchelon()
     basis = []
-    for j in range(n_cols):
-        if j in pivot_cols:
-            continue
-        vec: QRow = {j: Fraction(1)}
-        for pc, pr in pivots:
-            if j in pr:
-                vec[pc] = -pr[j] / pr[pc]
-        basis.append(vec)
+    for j, col in enumerate(cols):
+        rest, comb = ech.add(col, {j: Fraction(1)})
+        if not rest:
+            basis.append(comb)
     return basis
 
 
 def q_solve(cols: list[QRow], target: QRow) -> QRow | None:
-    """One solution x of Σ x_j·col_j = target over the rationals, or None."""
-    pivots: dict[int, tuple[QRow, QRow]] = {}  # pivot row index -> (col, comb)
+    """One solution x of Σ x_j·col_j = target over the rationals, or None.
+
+    The columns are eliminated in order, so x is supported on the columns
+    that no earlier column combination reaches.
+    """
+    ech = QEchelon()
     for j, col in enumerate(cols):
-        col = dict(col)
-        comb: QRow = {j: Fraction(1)}
-        while col:
-            b = min(col)
-            if b in pivots:
-                pc, pcomb = pivots[b]
-                f = col[b] / pc[b]
-                col = q_row_sub(col, pc, f)
-                comb = q_row_sub(comb, pcomb, f)
-            else:
-                pivots[b] = (col, comb)
-                break
-    t = {k: Fraction(v) for k, v in target.items() if v}
-    tcomb: QRow = {}
-    while t:
-        b = min(t)
-        if b not in pivots:
-            return None
-        pc, pcomb = pivots[b]
-        f = t[b] / pc[b]
-        t = q_row_sub(t, pc, f)
-        tcomb = q_row_sub(tcomb, pcomb, -f)
-    return tcomb
-
-
-class QSolver:
-    """Incremental echelon basis over the rationals."""
-
-    def __init__(self) -> None:
-        self.pivots: dict[int, QRow] = {}
-
-    def reduce(self, row: QRow) -> QRow:
-        row = dict(row)
-        while row:
-            pc = min(row)
-            pr = self.pivots.get(pc)
-            if pr is None:
-                return row
-            row = q_row_sub(row, pr, row[pc] / pr[pc])
-        return {}
-
-    def add(self, row: QRow) -> bool:
-        row = self.reduce(row)
-        if row:
-            self.pivots[min(row)] = row
-            return True
-        return False
+        ech.add(col, {j: Fraction(1)})
+    rest, comb = ech.reduce({k: Fraction(v) for k, v in target.items() if v},
+                            {})
+    # the remainder is target + Σ comb_j·col_j, so x = −comb
+    return None if rest else {k: -v for k, v in comb.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +298,9 @@ def _nearest_div(v: int, piv: int) -> int:
 
 
 def int_rank(mat: list[list[int]]) -> int:
-    rows = [{j: Fraction(v) for j, v in enumerate(r) if v} for r in mat]
-    return q_rank(rows)
+    """Rank of a dense integer matrix, given by its rows or its columns."""
+    return q_rank([{j: Fraction(v) for j, v in enumerate(r) if v}
+                   for r in mat])
 
 
 def _prime_power_parts(n: int) -> list[int]:
@@ -364,8 +323,10 @@ def integer_homology_summands(d_in: list[list[int]], rank_out: int,
                               dim: int) -> tuple[int, list[int]]:
     """Homology at a free abelian group of rank ``dim``.
 
-    ``d_in`` is the matrix of the incoming boundary map (its image lies in
-    the middle group), ``rank_out`` the rank of the outgoing boundary map.
+    ``d_in`` is the dense matrix of the incoming boundary map (its image
+    lies in the middle group) or its transpose, which has the same
+    invariant factors; ``rank_out`` is the rank of the outgoing boundary
+    map.
     Since im(d_in) is contained in ker(d_out) and the torsion of the
     quotient C/im(d_in) already lies in ker(d_out), the torsion of the
     homology equals the torsion of coker(d_in).
@@ -436,31 +397,28 @@ class _GF2:
             mask ^= low
         return col
 
-    def _rows(self, cols: list[dict], n_rows: int) -> list[int]:
-        return gf2_from_columns([self._mask(c) for c in cols], n_rows)
-
     def rank(self, cols: list[dict]) -> int:
         return gf2_rank([self._mask(c) for c in cols])
 
     def solve(self, cols: list[dict], target: dict,
               n_rows: int) -> dict[int, int] | None:
         """One λ with Σ λ_k·cols[k] = target, as ``{k: 1}``, or None."""
-        sol = gf2_solve(self._rows(cols, n_rows), len(cols),
-                        self._mask(target))
+        rows = gf2_from_columns([self._mask(c) for c in cols], n_rows)
+        sol = gf2_solve(rows, len(cols), self._mask(target))
         return None if sol is None else self._col(sol)
 
-    def nullspace(self, cols: list[dict], n_rows: int) -> list[dict]:
+    def nullspace(self, cols: list[dict]) -> list[dict]:
         """Basis of {λ : Σ λ_k·cols[k] = 0}."""
         return [self._col(m) for m in
-                gf2_nullspace(self._rows(cols, n_rows), len(cols))]
+                gf2_nullspace([self._mask(c) for c in cols])]
 
     def independent(self, span: list[dict], cols: list[dict]) -> list[dict]:
         """The columns of ``cols`` outside the span of ``span`` and of the
         columns kept before them."""
-        solver = GF2Solver()
+        ech = GF2Echelon()
         for c in span:
-            solver.add(self._mask(c))
-        return [c for c in cols if solver.add(self._mask(c))]
+            ech.add(self._mask(c))
+        return [c for c in cols if ech.add(self._mask(c))[0]]
 
 
 class _Q:
@@ -491,22 +449,17 @@ class _Q:
         """One λ with Σ λ_k·cols[k] = target, or None."""
         return q_solve([self._vec(c) for c in cols], self._vec(target))
 
-    def nullspace(self, cols: list[dict], n_rows: int) -> list[QRow]:
+    def nullspace(self, cols: list[dict]) -> list[QRow]:
         """Basis of {λ : Σ λ_k·cols[k] = 0}."""
-        rows: list[QRow] = [{} for _ in range(n_rows)]
-        for k, col in enumerate(cols):
-            for i, v in col.items():
-                if v:
-                    rows[i][k] = Fraction(v)
-        return q_nullspace(rows, len(cols))
+        return q_nullspace([self._vec(c) for c in cols])
 
     def independent(self, span: list[dict], cols: list[dict]) -> list[dict]:
         """The columns of ``cols`` outside the span of ``span`` and of the
         columns kept before them."""
-        solver = QSolver()
+        ech = QEchelon()
         for c in span:
-            solver.add(self._vec(c))
-        return [c for c in cols if solver.add(self._vec(c))]
+            ech.add(self._vec(c))
+        return [c for c in cols if ech.add(self._vec(c))[0]]
 
 
 class _Z:

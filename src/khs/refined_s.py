@@ -253,7 +253,8 @@ class _Pipeline:
     # -- the fullness linear systems -----------------------------------------
 
     def _system(self, q: int, mode: str):
-        """Columns of the witness system over (a_k | c_m) and row count.
+        """Columns of the witness system over (a_k | c_m), the number of
+        a_k, and the row count.
 
         Rows 0..nfull−1 are coordinates in the degree-0 homology basis
         (the j-condition), rows nfull.. are coordinates in the gr-homology
@@ -276,11 +277,11 @@ class _Pipeline:
                 col = {nfull + g: -v for g, v in enumerate(coords) if v}
                 cols.append(col)
         n_rows = nfull + (ngr if mode != "plain" else 0)
-        return cols, n_a, n_rows, nfull
+        return cols, n_a, n_rows
 
     def v_dim(self, q: int, mode: str) -> int:
         """dim of the achievable (α, β) subspace of W at level q."""
-        cols, _, n_rows, _ = self._system(q, mode)
+        cols, _, _ = self._system(q, mode)
         wo = self._coords_col(self.w_o)
         wob = self._coords_col(self.w_ob)
         rank_rest = self.ops.rank(cols)
@@ -289,7 +290,7 @@ class _Pipeline:
 
     def witness(self, q: int, alpha, beta, mode: str):
         """Solution (a_k, c_m) hitting α[𝔰_𝔬] + β[𝔰_𝔬̄], or None."""
-        cols, n_a, n_rows, _ = self._system(q, mode)
+        cols, n_a, n_rows = self._system(q, mode)
         target = {t: alpha * v + beta * self.w_ob[t]
                   for t, v in enumerate(self.w_o)}
         sol = self.ops.solve(cols, target, n_rows)
@@ -306,14 +307,14 @@ class _Pipeline:
         subspace of W, so greedily collecting independent ones realizes
         its full dimension.
         """
-        cols, n_a, n_rows, _ = self._system(q, mode)
+        cols, n_a, _ = self._system(q, mode)
         wo = self._coords_col(self.w_o)
         wob = self._coords_col(self.w_ob)
         # homogeneous system in (α, β, a, c):  α w_o + β w_ob − Σ a… − Σ c… = 0
         neg = ({i: -v for i, v in c.items()} for c in cols)
         allcols = [wo, wob] + list(neg)
         out = []
-        for sol in self.ops.nullspace(allcols, n_rows):
+        for sol in self.ops.nullspace(allcols):
             alpha = sol.get(0, 0)
             beta = sol.get(1, 0)
             if alpha or beta:
@@ -532,14 +533,6 @@ def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
                           s, r_plus_v, s_plus_v, certs)
 
 
-def minus_versions(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
-                   char: int | None = None,
-                   optimized: bool = True) -> tuple[int, int]:
-    """(r₋^θ, s₋^θ) := (−r₊^θ(mirror), −s₊^θ(mirror))."""
-    res = refined_invariants(d.mirror(), theta, char, optimized)
-    return -res.r_plus, -res.s_plus
-
-
 def sq1_vanishing_hypothesis(t: OrientedLinkDiagram,
                              optimized: bool = True) -> bool:
     """Sq¹: Kh^{i−1,s(T)−1} → Kh^{i,s(T)−1} is zero for i = 0, 1."""
@@ -579,12 +572,6 @@ def adjunction_bound(s0: int, chi: int, self_intersection: int,
     if surface_components < 1:
         raise ValueError("a cobordism surface has at least one component")
     return s0 - chi - self_intersection - surface_components
-
-
-def adjunction_check(s0: int, chi: int, self_intersection: int,
-                     surface_components: int, s1: int) -> bool:
-    return s1 <= adjunction_bound(s0, chi, self_intersection,
-                                  surface_components)
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,6 @@ PD_9_42 = (
     "X(8,3,9,4) X(7,16,8,17) X(4,18,5,17) X(5,13,6,12) X(11,7,12,6)"
 )
 
-# The same diagram with the twist box removed: an unknot diagram with the
-# three closure crossings only.
-PD_9_42_UNTWISTED = "X(6,6,1,5) X(4,1,5,2) X(2,3,3,4)"
-
 
 def knot_9_42() -> OrientedLinkDiagram:
     return parse_pd(PD_9_42)

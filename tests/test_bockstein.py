@@ -1,16 +1,17 @@
 """The Bockstein Sq¹ on Khovanov homology over GF(2)."""
 
-from khs.bockstein import sq1, sq1_table
+from khs.bockstein import bockstein_chain, sq1, sq1_table
+from khs.complexes import FilteredComplex
 from khs.cube import build_complex, khovanov_homology
 from khs.links import TorusLinkSpec, hopf_link, torus_link, trefoil, unknot
 from khs.tables import knot_9_42
 
 
 def _two_torsion_count(table):
-    """Number of Z/2^k summands per (h, q), from the integral computation."""
+    """Number of Z/2 summands per (h, q), from the integral computation."""
     out = {}
     for (h, q), (_, tor) in table.entries.items():
-        n = sum(1 for t in tor if t % 2 == 0)
+        n = sum(1 for t in tor if t == 2)
         if n:
             out[(h, q)] = n
     return out
@@ -18,12 +19,22 @@ def _two_torsion_count(table):
 
 def test_sq1_rank_equals_two_torsion():
     # [DERIVED] rank of the Bockstein into degree (i, q) equals the number
-    # of 2-power torsion summands of the integral homology there (standard
-    # Bockstein exact-sequence fact), cross-checked via Smith normal form.
+    # of Z/2 summands of the integral homology there (the Bockstein of
+    # 0 → Z/2 → Z/4 → Z/2 → 0 misses Z/4, Z/8, ...), cross-checked via
+    # Smith normal form.
     for d in (trefoil(), trefoil().mirror(), hopf_link(),
               torus_link(TorusLinkSpec(3, 1)), knot_9_42()):
         expect = _two_torsion_count(khovanov_homology(d, "Z", optimized=True))
         assert sq1_table(d) == expect
+
+
+def test_bockstein_sees_exactly_z2_summands():
+    # [DERIVED] on C⁻¹ = Z →(k) Z = C⁰ the generator e of C⁻¹ is a mod-2
+    # cycle for even k, and its Bockstein is (k/2)·f mod 2: nonzero when
+    # Kh⁰ = Z/k has a Z/2 summand (k = 2, 6), zero for Z/4.
+    for k, image in ((2, {0: 1}), (4, {}), (6, {0: 1})):
+        cx = FilteredComplex("Z", {-1: [0], 0: [0]}, {-1: [{0: k}]})
+        assert bockstein_chain(cx, -1, {0: 1}) == image
 
 
 def test_sq1_vanishes_on_torsion_free():
@@ -71,4 +82,3 @@ def test_bockstein_chain_is_mod2_cycle():
     cube_z = build_complex(trefoil(), "khovanov", "Z")
     m = sq1(cube_z, 3, 7)
     assert m.rank == 1
-    assert len(m.image_coords()) == 1

@@ -135,6 +135,7 @@ GOLDEN = Path(__file__).parent / "data"
     ("9_42", "2", "sq1", "9_42_c2_sq1.json"),
     ("9_42", "0", "zero", "9_42_c0_zero.json"),
     ("torus:3:1", "2", "sq1", "torus_3_1_c2_sq1.json"),
+    ("torus:3:1", "0", "zero", "torus_3_1_c0_zero.json"),
     ("9_42", "2", "sq1", "9_42_c2_sq1.csv"),
     ("9_42", "2", "sq1", "9_42_c2_sq1.text"),
     ("torus:3:1", "2", "sq1", "torus_3_1_c2_sq1.csv"),
@@ -247,3 +248,22 @@ def test_internal_failure_names_stage_degree_level_and_link(monkeypatch,
     link = serialize_pd(builtin_diagram("trefoil"))
     assert ("s−1 must be θ-half-full by the dichotomy at q=1, h=0, "
             f"for link {link}") in err
+
+
+def test_canonical_chain_failure_names_stage_theory_and_link(monkeypatch,
+                                                             capsys):
+    # [TRIVIAL] a wrong label expansion makes the canonical chain a
+    # non-cycle; the exit-3 message names the stage, the theory, h, q and
+    # the link, and stdout stays empty.
+    import khs.cube
+    from khs.links import serialize_pd
+    from khs.tables import builtin_diagram
+
+    monkeypatch.setitem(khs.cube._CANONICAL, "bar_natan",
+                        (((0, 1),), ((0, 1),)))
+    code, out, err = run(capsys, "compute", "--link", "trefoil",
+                         "--char", "2", "--theta", "sq1", "--format", "json")
+    assert code == 3 and out == ""
+    link = serialize_pd(builtin_diagram("trefoil"))
+    assert ("canonical bar_natan chain is not a cycle (labeling convention "
+            f"bug) at all q, h=0, for link {link}") in err

@@ -6,7 +6,8 @@ from fractions import Fraction
 import sympy
 
 from khs.linalg import (
-    GF2Solver,
+    GF2Echelon,
+    QEchelon,
     gf2_from_columns,
     gf2_nullspace,
     gf2_rank,
@@ -15,6 +16,7 @@ from khs.linalg import (
     integer_homology_summands,
     q_nullspace,
     q_rank,
+    q_row_sub,
     q_solve,
     smith_invariant_factors,
 )
@@ -40,7 +42,8 @@ def test_gf2_rank_against_sympy():
         r_sym = m2.T.rank(iszerofunc=lambda x: x % 2 == 0)
         got = gf2_rank(list(rows))
         assert got == r_sym, (rows, n_cols, got, r_sym, expect)
-        assert got + len(gf2_nullspace(list(rows), n_cols)) == n_cols
+        cols = gf2_from_columns(rows, n_cols)
+        assert got + len(gf2_nullspace(cols)) == n_cols
 
 
 def test_gf2_solve_and_nullspace():
@@ -129,14 +132,30 @@ def test_gf2_solve_returns_the_reference_solution():
 
 
 def test_gf2_solver_incremental():
-    # [TRIVIAL]
-    s = GF2Solver()
-    assert s.add(0b101)
-    assert s.add(0b011)
-    assert not s.add(0b110)  # dependent
-    assert s.rank == 2
-    assert s.contains(0b110)
-    assert not s.contains(0b100)
+    # [TRIVIAL] a vector's remainder is zero exactly when it lies in the
+    # span; with combinations tracked, a dependent vector's is its relation.
+    e = GF2Echelon()
+    assert e.add(0b101)[0]
+    assert e.add(0b011)[0]
+    assert e.add(0b110) == (0, None)  # dependent, nothing tracked
+    assert len(e.pivots) == 2
+    assert e.reduce(0b110)[0] == 0
+    assert e.reduce(0b100)[0] != 0
+    e = GF2Echelon()
+    e.add(0b101, 0b001)
+    e.add(0b011, 0b010)
+    assert e.add(0b110, 0b100) == (0, 0b111)
+    assert len(e.pivots) == 2
+
+
+def test_q_echelon_tracks_relations():
+    # [TRIVIAL] the rational twin: (1, 2) + 2·(0, 1) − (1, 4) = 0.
+    e = QEchelon()
+    e.add({0: Fraction(1), 1: Fraction(2)}, {0: Fraction(1)})
+    e.add({1: Fraction(1)}, {1: Fraction(1)})
+    rest, comb = e.add({0: Fraction(1), 1: Fraction(4)}, {2: Fraction(1)})
+    assert rest == {} and comb == {0: -1, 1: -2, 2: 1}
+    assert len(e.pivots) == 2
 
 
 def test_q_rank_and_solve():
@@ -148,7 +167,7 @@ def test_q_rank_and_solve():
                   for _ in range(n_cols)] for _ in range(n_rows)]
         rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
         assert q_rank([dict(r) for r in rows]) == sympy.Matrix(dense).rank()
-        null = q_nullspace([dict(r) for r in rows], n_cols)
+        null = q_nullspace(_q_columns(dense, n_cols))
         assert len(null) == n_cols - sympy.Matrix(dense).rank()
         for vec in null:
             for r in dense:
@@ -167,6 +186,114 @@ def test_q_solve_consistency():
             acc[i] = acc.get(i, 0) + a * v
     assert {i: v for i, v in acc.items() if v} == {0: Fraction(3),
                                                   1: Fraction(6)}
+
+
+def _q_columns(dense, n_cols):
+    return [{i: r[j] for i, r in enumerate(dense) if r[j]}
+            for j in range(n_cols)]
+
+
+def _gf2_nullspace_rows(rows, n_cols):
+    """Reference: Gauss-Jordan on the rows (pivot on the highest bit), then
+    one kernel vector per free column."""
+    pivots = []  # (pivot col, fully reduced row)
+    for row in rows:
+        for pc, pr in pivots:
+            if (row >> pc) & 1:
+                row ^= pr
+        if row:
+            pc = row.bit_length() - 1
+            for k, (pc2, pr2) in enumerate(pivots):
+                if (pr2 >> pc) & 1:
+                    pivots[k] = (pc2, pr2 ^ row)
+            pivots.append((pc, row))
+    pivot_cols = {pc for pc, _ in pivots}
+    basis = []
+    for j in range(n_cols):
+        if j in pivot_cols:
+            continue
+        vec = 1 << j
+        for pc, pr in pivots:
+            if (pr >> j) & 1:
+                vec |= 1 << pc
+        basis.append(vec)
+    return basis
+
+
+def _q_nullspace_rows(rows, n_cols):
+    """Reference: Gauss-Jordan on the rows (pivot on the lowest index),
+    then one kernel vector per free column."""
+    pivots = []  # (pivot col, fully reduced row)
+    for row in rows:
+        row = dict(row)
+        for pc, pr in pivots:
+            if pc in row:
+                row = q_row_sub(row, pr, row[pc] / pr[pc])
+        if row:
+            pc = min(row)
+            for k, (pc2, pr2) in enumerate(pivots):
+                if pc in pr2:
+                    pivots[k] = (pc2, q_row_sub(pr2, row, pr2[pc] / row[pc]))
+            pivots.append((pc, row))
+    pivot_cols = {pc for pc, _ in pivots}
+    basis = []
+    for j in range(n_cols):
+        if j in pivot_cols:
+            continue
+        vec = {j: Fraction(1)}
+        for pc, pr in pivots:
+            if j in pr:
+                vec[pc] = -pr[j] / pr[pc]
+        basis.append(vec)
+    return basis
+
+
+def _degenerate(rng, cols, zero, combine):
+    """Make some columns zero and some sums of two others, so that the
+    matrix is rank-deficient in many ways."""
+    cols = list(cols)
+    for j in range(len(cols)):
+        roll = rng.random()
+        if roll < 0.15:
+            cols[j] = zero
+        elif roll < 0.45 and len(cols) > 1:
+            a, b = rng.sample(range(len(cols)), 2)
+            cols[j] = combine(cols[a], cols[b])
+    return cols
+
+
+def test_gf2_nullspace_is_the_row_reduction_basis():
+    # [DERIVED] the column echelon gives the same basis vectors, in the
+    # same order, as Gauss-Jordan on the rows.
+    rng = random.Random(6)
+    for trial in range(400):
+        n_rows, n_cols = rng.randint(0, 12), rng.randint(0, 12)
+        cols = [rng.getrandbits(n_rows) if n_rows else 0
+                for _ in range(n_cols)]
+        if trial % 2:
+            cols = _degenerate(rng, cols, 0, lambda a, b: a ^ b)
+        rows = gf2_from_columns(cols, n_rows)
+        assert gf2_nullspace(cols) == _gf2_nullspace_rows(rows, n_cols)
+
+
+def test_q_nullspace_is_the_row_reduction_basis():
+    # [DERIVED] the rational twin, with fractional entries.
+    rng = random.Random(7)
+    for trial in range(300):
+        n_rows, n_cols = rng.randint(0, 9), rng.randint(0, 9)
+        cols = [{i: Fraction(v, rng.randint(1, 3)) for i in range(n_rows)
+                 if (v := rng.choice((0, 0, -2, -1, 1, 3)))}
+                for _ in range(n_cols)]
+        if trial % 2:
+            cols = _degenerate(
+                rng, cols, {},
+                lambda a, b: {i: v for i in a.keys() | b.keys()
+                              if (v := a.get(i, 0) + 2 * b.get(i, 0))})
+        rows = [{} for _ in range(n_rows)]
+        for j, col in enumerate(cols):
+            for i, v in col.items():
+                rows[i][j] = v
+        assert q_nullspace(cols) == _q_nullspace_rows(rows, n_cols)
 
 
 def test_smith_invariant_factors():

@@ -71,13 +71,13 @@ def test_universal_coefficients(nb):
 @SET
 @given(braids(max_len=4))
 def test_sq1_rank_matches_torsion(nb):
-    # [DERIVED] rank Sq¹ into (i, q) = number of 2-power torsion summands
-    # of Kh^{i,q}(Z), computed independently via Smith normal form.
+    # [DERIVED] rank Sq¹ into (i, q) = number of Z/2 summands of
+    # Kh^{i,q}(Z), computed independently via Smith normal form.
     d = close(nb)
     expect = {}
     for (h, q), (_, tor) in khovanov_homology(d, "Z",
                                               optimized=True).entries.items():
-        n = sum(1 for t in tor if t % 2 == 0)
+        n = sum(1 for t in tor if t == 2)
         if n:
             expect[(h, q)] = n
     assert sq1_table(d) == expect
