@@ -23,7 +23,6 @@ from .refined_s import (
     ThetaOperation,
     adjunction_bound,
     disjoint_union_check,
-    fullness,
     refined_invariants,
     s_classical,
     validate_certificate,
@@ -49,7 +48,6 @@ __all__ = [
     "determinant",
     "disjoint_union_check",
     "empty_link",
-    "fullness",
     "hopf_link",
     "jones_polynomial",
     "khovanov_homology",

@@ -50,10 +50,7 @@ class BocksteinMap:
 
     i: int
     q: int
-    source_reps: list[Column]  # cycle representatives, q-slice local coords
-    target_reps: list[Column]
-    matrix: list[list[int]]    # one target-coordinate vector per source basis
-    slice_keep: dict           # q-slice index lists into the full cube
+    matrix: list[list[int]]  # one target-coordinate vector per source basis
 
     @property
     def rank(self) -> int:
@@ -61,14 +58,12 @@ class BocksteinMap:
             [sum(b << k for k, b in enumerate(row)) for row in self.matrix])
 
 
-def sq1(cube_z: CubeComplex, i: int, q: int,
-        target_reps: list[Column] | None = None) -> BocksteinMap:
+def sq1(cube_z: CubeComplex, i: int, q: int) -> BocksteinMap:
     """The Bockstein map into bidegree (i, q)."""
     f2 = with_ring(cube_z, "gf2").complex
     sl, keep = q_slice(f2, q)
     src = homology_reps(sl, i - 1)
-    if target_reps is None:
-        target_reps = homology_reps(sl, i)
+    target_reps = homology_reps(sl, i)
     back_src = keep.get(i - 1, [])
     pos_tgt = {g: k for k, g in enumerate(keep.get(i, []))}
     matrix = []
@@ -80,7 +75,7 @@ def sq1(cube_z: CubeComplex, i: int, q: int,
         if coords is None:
             raise AssertionError("Sq¹ output is not a cycle in its slice")
         matrix.append(coords)
-    return BocksteinMap(i, q, src, target_reps, matrix, keep)
+    return BocksteinMap(i, q, matrix)
 
 
 def sq1_table(d: OrientedLinkDiagram) -> dict[tuple[int, int], int]:

@@ -132,9 +132,9 @@ def _suite_prop1(args) -> list[dict]:
         p = n - qr
         expect = (p - qr) ** 2 - 2 * p + 1
         d = torus_link(TorusLinkSpec(n, qr))
-        s2 = s_classical(d, char=2)
-        s0 = s_classical(d, char=0)
         res = refined_invariants(d, SQ1)
+        s2 = res.s_classical
+        s0 = s_classical(d, char=0)
         ok = s2 == expect and s0 == expect and res.s_plus == expect
         detail = {"s_F2": s2, "s_Q": s0, "s_plus": res.s_plus,
                   "expected": expect}

@@ -79,12 +79,16 @@ class FilteredComplex:
         if self.ring != "Z":
             raise ValueError("integral homology needs ring='Z'")
         out = {}
+        prev_h, d_prev = None, []
         for h in self.degrees():
-            d_in = self._int_matrix(h - 1)
-            rank_out = linalg.int_rank(self._int_matrix(h)) if self.dim(h + 1) else 0
+            # each dense d_h is built once: d_out here, d_in at degree h+1
+            d_in = d_prev if prev_h == h - 1 else self._int_matrix(h - 1)
+            d_out = self._int_matrix(h)
+            rank_out = linalg.int_rank(d_out) if self.dim(h + 1) else 0
             free, tors = linalg.integer_homology_summands(d_in, rank_out, self.dim(h))
             if free or tors:
                 out[h] = (free, tors)
+            prev_h, d_prev = h, d_out
         return out
 
     # -- filtration-aware structure -------------------------------------------
@@ -224,17 +228,14 @@ class SublevelHomology:
 
 
 def sublevel_homology(cx: FilteredComplex, q: int, h: int,
-                      full_reps: list[Column] | None = None,
-                      gr_reps: list[Column] | None = None) -> SublevelHomology:
+                      full_reps: list[Column], gr: FilteredComplex,
+                      gkeep: dict, gr_reps: list[Column]) -> SublevelHomology:
+    """H^h(C^{≥q}) against the bases ``full_reps`` of H^h(C) and
+    ``gr_reps`` of H^h(gr_q C), where ``gr, gkeep = gr_slice(cx, q)``."""
     sub, keep = sublevel(cx, q)
     sub_reps_local = homology_reps(sub, h)
     back = keep.get(h, [])
     reps = [{back[i]: v for i, v in r.items()} for r in sub_reps_local]
-    if full_reps is None:
-        full_reps = homology_reps(cx, h)
-    gr, gkeep = gr_slice(cx, q)
-    if gr_reps is None:
-        gr_reps = homology_reps(gr, h)
     gpos = {i: k for k, i in enumerate(gkeep.get(h, []))}
     j_mat = []
     p_mat = []

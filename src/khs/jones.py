@@ -12,13 +12,6 @@ from .links import OrientedLinkDiagram, resolution_circles
 Laurent = dict[int, int]
 
 
-def lp(*pairs: tuple[int, int]) -> Laurent:
-    out: Laurent = {}
-    for e, c in pairs:
-        out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
-
-
 def lp_add(p: Laurent, q: Laurent) -> Laurent:
     out = dict(p)
     for e, c in q.items():

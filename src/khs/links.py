@@ -189,14 +189,14 @@ class OrientedLinkDiagram:
 _QUAD_RE = re.compile(r"X[\(\[]\s*([0-9,\s]*?)\s*[\)\]]")
 
 
-def parse_pd(text: str, orientations: Sequence[bool] | None = None,
-             free_loops: int = 0) -> OrientedLinkDiagram:
+def parse_pd(text: str) -> OrientedLinkDiagram:
     """Parse semicolon/whitespace separated ``X(a,b,c,d)`` quadruples.
 
     The optional ``reversed=i,j`` and ``loops=n`` suffixes emitted by
     :func:`serialize_pd` are accepted after a ``|`` separator.
     """
     text = text.strip()
+    free_loops = 0
     reversed_comps: list[int] = []
     if "|" in text:
         text, _, suffix = text.partition("|")
@@ -220,9 +220,7 @@ def parse_pd(text: str, orientations: Sequence[bool] | None = None,
         quads.append(tuple(nums))
     crossings = _derive_over_entries(quads)
     d = OrientedLinkDiagram(crossings, free_loops)
-    if orientations is not None:
-        d = d.with_orientations(list(orientations))
-    elif reversed_comps:
+    if reversed_comps:
         flags = [False] * d.component_count
         for i in reversed_comps:
             flags[i] = True

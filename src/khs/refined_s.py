@@ -34,6 +34,7 @@ from .bockstein import bockstein_chain
 from .complexes import (
     Column,
     FilteredComplex,
+    SublevelHomology,
     apply,
     class_coords,
     filtered_reduce,
@@ -98,15 +99,6 @@ class FullnessCertificate:
 
 
 @dataclass
-class FullnessResult:
-    q: int
-    theta: ThetaOperation
-    dim: int
-    status: str  # "not" | "half_full" | "full"
-    certificates: list[FullnessCertificate]
-
-
-@dataclass
 class RefinedSResult:
     link: str
     component_count: int
@@ -144,6 +136,9 @@ class DisjointUnionReport:
 # The computation pipeline
 # ---------------------------------------------------------------------------
 
+# characteristic -> (deformed theory, coefficient ring)
+_FIELDS = {0: ("lee", "Q"), 2: ("bar_natan", "gf2")}
+
 
 class _Pipeline:
     """Shared state for all fullness computations over one (diagram, char).
@@ -159,29 +154,29 @@ class _Pipeline:
                  optimized: bool = True, need_sq1: bool = False):
         if d.component_count == 0:
             raise ValueError("empty link has no canonical subspace W")
-        if char not in (0, 2):
+        if char not in _FIELDS:
             raise ValueError("characteristic must be 0 or 2")
         self.d = d
         self.char = char
         self.reduce = filtered_reduce if optimized else unreduced
-        self.ring = "gf2" if char == 2 else "Q"
-        self.ops = linalg.RINGS[self.ring]
-        self.theory = "bar_natan" if char == 2 else "lee"
-        self.cube = build_complex(d, self.theory, self.ring)
+        theory, ring = _FIELDS[char]
+        self.ops = linalg.RINGS[ring]
+        self.cube = build_complex(d, theory, ring)
         self.s_o_orig = canonical_cycle(self.cube)
         self.s_ob_orig = canonical_cycle(self.cube, reverse=True)
         self.dec = self.reduce(self.cube.complex)
         self.cx = self.dec.reduced
-        self.s_o = push_chain(self.dec, 0, self.s_o_orig)
-        self.s_ob = push_chain(self.dec, 0, self.s_ob_orig)
         self.full_reps = homology_reps(self.cx, 0)
-        self.w_o = class_coords(self.cx, 0, self.full_reps, self.s_o)
-        self.w_ob = class_coords(self.cx, 0, self.full_reps, self.s_ob)
-        if self.w_o is None or self.w_ob is None:
-            raise AssertionError(self._failure(
-                "canonical chain is not a cycle of C", None))
-        if self.ops.rank([self._coords_col(self.w_o),
-                          self._coords_col(self.w_ob)]) != 2:
+        # [𝔰_𝔬] and [𝔰_𝔬̄] as sparse columns over the basis full_reps
+        self.w: list[Column] = []
+        for chain in (self.s_o_orig, self.s_ob_orig):
+            coords = class_coords(self.cx, 0, self.full_reps,
+                                  push_chain(self.dec, 0, chain))
+            if coords is None:
+                raise AssertionError(self._failure(
+                    "canonical chain is not a cycle of C", None))
+            self.w.append({i: v for i, v in enumerate(coords) if v})
+        if self.ops.rank(self.w) != 2:
             raise AssertionError(self._failure(
                 "canonical classes are not independent", None))
         self.cube_z: CubeComplex | None = None
@@ -189,24 +184,24 @@ class _Pipeline:
             if char != 2:
                 raise ValueError("Sq¹ refinement needs characteristic 2")
             self.cube_z = build_complex(d, "khovanov", "Z")
-        self._sh_cache: dict[int, object] = {}
+        # per-level results, each computed once: plain dicts, so that a
+        # finished pipeline is freed as soon as its last reference goes
+        self._sh_cache: dict[int, SublevelHomology] = {}
         self._gr_cache: dict[int, tuple] = {}
-        self._theta_cache: dict[int, tuple] = {}
-
-    @staticmethod
-    def _coords_col(coords: list) -> dict:
-        return {i: v for i, v in enumerate(coords) if v}
+        self._theta_cache: dict[int, list] = {}
+        self._system_cache: dict[tuple[int, str], tuple] = {}
 
     # -- cached homological data ---------------------------------------------
 
-    def sh(self, q: int):
+    def sh(self, q: int) -> SublevelHomology:
         if q not in self._sh_cache:
-            _, _, greps = self.gr(q)
             self._sh_cache[q] = sublevel_homology(
-                self.cx, q, 0, full_reps=self.full_reps, gr_reps=greps)
+                self.cx, q, 0, self.full_reps, *self.gr(q))
         return self._sh_cache[q]
 
     def gr(self, q: int):
+        """Graded slice at q, its index lists and its degree-0 homology
+        basis."""
         if q not in self._gr_cache:
             gcx, gkeep = gr_slice(self.cx, q)
             self._gr_cache[q] = (gcx, gkeep, homology_reps(gcx, 0))
@@ -254,12 +249,15 @@ class _Pipeline:
 
     def _system(self, q: int, mode: str):
         """Columns of the witness system over (a_k | c_m), the number of
-        a_k, and the row count.
+        a_k, and the row count; built once per (q, mode).
 
         Rows 0..nfull−1 are coordinates in the degree-0 homology basis
         (the j-condition), rows nfull.. are coordinates in the gr-homology
         basis (the p-condition; absent for mode "plain").
         """
+        key = (q, mode)
+        if key in self._system_cache:
+            return self._system_cache[key]
         SH = self.sh(q)
         nfull = len(SH.full_reps)
         ngr = len(SH.gr_reps)
@@ -277,22 +275,20 @@ class _Pipeline:
                 col = {nfull + g: -v for g, v in enumerate(coords) if v}
                 cols.append(col)
         n_rows = nfull + (ngr if mode != "plain" else 0)
+        self._system_cache[key] = cols, n_a, n_rows
         return cols, n_a, n_rows
 
     def v_dim(self, q: int, mode: str) -> int:
         """dim of the achievable (α, β) subspace of W at level q."""
         cols, _, _ = self._system(q, mode)
-        wo = self._coords_col(self.w_o)
-        wob = self._coords_col(self.w_ob)
-        rank_rest = self.ops.rank(cols)
-        rank_all = self.ops.rank([wo, wob] + cols)
-        return 2 - rank_all + rank_rest
+        return 2 - len(self.ops.independent(cols, self.w))
 
     def witness(self, q: int, alpha, beta, mode: str):
         """Solution (a_k, c_m) hitting α[𝔰_𝔬] + β[𝔰_𝔬̄], or None."""
         cols, n_a, n_rows = self._system(q, mode)
-        target = {t: alpha * v + beta * self.w_ob[t]
-                  for t, v in enumerate(self.w_o)}
+        wo, wob = self.w
+        target = {t: alpha * wo.get(t, 0) + beta * wob.get(t, 0)
+                  for t in sorted(wo.keys() | wob.keys())}
         sol = self.ops.solve(cols, target, n_rows)
         if sol is None:
             return None
@@ -308,13 +304,10 @@ class _Pipeline:
         its full dimension.
         """
         cols, n_a, _ = self._system(q, mode)
-        wo = self._coords_col(self.w_o)
-        wob = self._coords_col(self.w_ob)
         # homogeneous system in (α, β, a, c):  α w_o + β w_ob − Σ a… − Σ c… = 0
         neg = ({i: -v for i, v in c.items()} for c in cols)
-        allcols = [wo, wob] + list(neg)
         out = []
-        for sol in self.ops.nullspace(allcols):
+        for sol in self.ops.nullspace(self.w + list(neg)):
             alpha = sol.get(0, 0)
             beta = sol.get(1, 0)
             if alpha or beta:
@@ -392,8 +385,9 @@ class _Pipeline:
     # -- the invariants -------------------------------------------------------
 
     def degree0_levels(self) -> list[int]:
-        return sorted(set(self.cx.levels.get(0, [])) |
-                      set(self.cube.complex.levels.get(0, [])))
+        """Levels of the cube's degree-0 generators (the reduced complex
+        keeps a subset of them)."""
+        return sorted(set(self.cube.complex.levels.get(0, [])))
 
     def s_value(self) -> int:
         """s^F via max half-full − 1, asserted equal to max full + 1."""
@@ -410,17 +404,9 @@ class _Pipeline:
         return q - 1
 
     def half_full_targets(self):
-        if self.ring == "gf2":
+        if self.char == 2:
             return [(1, 1)]
         return [(1, 1), (1, -1)]
-
-
-def _char_for(theta: ThetaOperation, char: int | None) -> int:
-    if theta.kind == "sq1":
-        if char not in (None, 2):
-            raise ValueError("Sq¹ requires characteristic 2")
-        return 2
-    return 0 if char is None else char
 
 
 # ---------------------------------------------------------------------------
@@ -428,57 +414,27 @@ def _char_for(theta: ThetaOperation, char: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def fullness(d: OrientedLinkDiagram, q: int, theta: ThetaOperation = ZERO,
-             char: int | None = None,
-             optimized: bool = True) -> FullnessResult:
-    """Classify level q as not / half-full / full (θ-refined for Sq¹).
-
-    For θ = Zero this is the plain condition im(j) ∩ W; for θ = Sq¹ it is
-    V^q = j(p⁻¹(im Sq¹)) ∩ W.  Requires q ≡ #components (mod 2).
-    """
-    char = _char_for(theta, char)
-    if d.component_count == 0:
-        raise ValueError("fullness is undefined for the empty link")
-    if q % 2 != d.component_count % 2:
-        raise ValueError(f"level q={q} violates the component parity")
-    pipe = _Pipeline(d, char, optimized, need_sq1=theta.kind == "sq1")
-    mode = "plain" if theta.kind == "zero" else "sq1"
-    dim = pipe.v_dim(q, mode)
-    status = "not" if dim == 0 else ("half_full" if dim == 1 else "full")
-    certs = []
-    if dim > 0:
-        found: list[dict] = []
-        for alpha, beta, a, c in pipe.all_witnesses(q, mode):
-            vec = {0: alpha, 1: beta}
-            if pipe.ops.rank(found + [vec]) > len(found):
-                found.append(vec)
-                certs.append(pipe.certificate(q, alpha, beta, a, c, mode))
-            if len(found) == dim:
-                break
-        if len(found) != dim:
-            raise AssertionError(pipe._failure(
-                "failed to realize the claimed dimension", q))
-    return FullnessResult(q, theta, dim, status, certs)
-
-
-def s_classical(d: OrientedLinkDiagram, char: int = 0,
-                optimized: bool = True) -> int:
+def s_classical(d: OrientedLinkDiagram, char: int = 0) -> int:
     """The classical s-invariant over F (char 0 or 2); s(∅) := 1."""
     if d.component_count == 0:
         return 1
-    return _Pipeline(d, char, optimized).s_value()
+    return _Pipeline(d, char).s_value()
 
 
 def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
-                       char: int | None = None, optimized: bool = True,
-                       full_sweep: bool = False) -> RefinedSResult:
+                       char: int | None = None,
+                       optimized: bool = True) -> RefinedSResult:
     """s^F, r₊^θ and s₊^θ with certificates for every claimed fullness.
 
-    The default path tests only q ∈ {s−1, s+1} as justified by the
-    dichotomy r₊, s₊ ∈ {s, s+2}; ``full_sweep`` recomputes both maxima by
-    scanning all levels with the definitional θ-fullness dimensions.
+    Only the levels q ∈ {s−3, s−1, s+1} are tested, as justified by the
+    dichotomy r₊, s₊ ∈ {s, s+2}.
     """
-    char = _char_for(theta, char)
+    if theta.kind == "sq1":
+        if char not in (None, 2):
+            raise ValueError("Sq¹ requires characteristic 2")
+        char = 2
+    elif char is None:
+        char = 0
     link_id = serialize_pd(d)
     if d.component_count == 0:
         return RefinedSResult(link_id, 0, char, theta, 1, 1, 1,
@@ -520,58 +476,53 @@ def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
                 "θ-full level admits no [𝔰_𝔬] witness", s - 3))
         certs["s_plus"] = pipe.certificate(s - 3, 1, 0, *sol, mode)
 
-    if full_sweep:
-        lvls = pipe.degree0_levels()
-        top, bot = max(lvls), min(lvls) - 2
-        half = [q for q in range(bot, top + 1, 2) if pipe.v_dim(q, mode) >= 1]
-        full = [q for q in range(bot, top + 1, 2) if pipe.v_dim(q, mode) == 2]
-        if max(half) + 1 != r_plus_v or max(full) + 3 != s_plus_v:
-            raise AssertionError(pipe._failure(
-                "full q-sweep contradicts the criterion path", None))
-
     return RefinedSResult(link_id, d.component_count, char, theta,
                           s, r_plus_v, s_plus_v, certs)
 
 
-def sq1_vanishing_hypothesis(t: OrientedLinkDiagram,
-                             optimized: bool = True) -> bool:
+def sq1_vanishing_hypothesis(t: OrientedLinkDiagram) -> bool:
     """Sq¹: Kh^{i−1,s(T)−1} → Kh^{i,s(T)−1} is zero for i = 0, 1."""
     from .bockstein import sq1
 
     if t.component_count == 0:
         return True
-    s = s_classical(t, char=2, optimized=optimized)
+    s = s_classical(t, char=2)
     cube_z = build_complex(t, "khovanov", "Z")
     return all(sq1(cube_z, i, s - 1).rank == 0 for i in (0, 1))
 
 
 def disjoint_union_check(left: OrientedLinkDiagram,
-                         right: OrientedLinkDiagram,
-                         optimized: bool = True) -> DisjointUnionReport:
+                         right: OrientedLinkDiagram) -> DisjointUnionReport:
     """Check s₊^{Sq¹}(L ⊔ T) = s₊^{Sq¹}(L) + s₊^{Sq¹}(T) − 1.
 
     The additivity requires T to satisfy the Sq¹-vanishing hypothesis at
     (·, s(T)−1); if it fails, the report flags it and skips the union
     computation (the identity is not asserted by the statement then).
     """
-    hyp = sq1_vanishing_hypothesis(right, optimized)
-    sp_l = refined_invariants(left, SQ1, optimized=optimized).s_plus
-    sp_r = refined_invariants(right, SQ1, optimized=optimized).s_plus
+    hyp = sq1_vanishing_hypothesis(right)
+    sp_l = refined_invariants(left, SQ1).s_plus
+    sp_r = refined_invariants(right, SQ1).s_plus
     if not hyp:
         return DisjointUnionReport(False, None, sp_l, sp_r, None)
     union = left.disjoint_union(right)
-    sp_u = refined_invariants(union, SQ1, optimized=optimized).s_plus
+    sp_u = refined_invariants(union, SQ1).s_plus
     return DisjointUnionReport(True, sp_u, sp_l, sp_r,
                                sp_u == sp_l + sp_r - 1)
 
 
 def adjunction_bound(s0: int, chi: int, self_intersection: int,
-                     surface_components: int) -> int:
-    """Upper bound s0 − χ(Σ) − [Σ]² − |Σ| for s of the far end of a
-    cobordism Σ with |Σ| ≥ 1 components in a blown-up half of S³×I."""
-    if surface_components < 1:
-        raise ValueError("a cobordism surface has at least one component")
-    return s0 - chi - self_intersection - surface_components
+                     class_norm: int) -> int:
+    """Upper bound s0 − χ(Σ) − [Σ]² − |[Σ]| for s of the far end of a
+    cobordism Σ in (S³×I) # k CP²-bar (Manolescu–Marengon–Sarkar–Willis).
+
+    ``class_norm`` is |[Σ]|, the L1 norm of [Σ] ∈ H₂(#ᵏ CP²-bar) in the
+    basis of exceptional spheres: 0 for a null-homologous Σ (the unknot's
+    standard disk gives s0 = s(∅) = 1, χ = 1 and the bound 0), 1 for a
+    surface in the class ±e.
+    """
+    if class_norm < 0:
+        raise ValueError("the L1 norm |[Σ]| is nonnegative")
+    return s0 - chi - self_intersection - class_norm
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +546,7 @@ def _resolve(cube: CubeComplex, h: int, chain: dict) -> Column:
 def validate_certificate(d: OrientedLinkDiagram,
                          cert: FullnessCertificate) -> bool:
     """Re-check a fullness certificate from scratch by chain arithmetic."""
-    ring = "gf2" if cert.char == 2 else "Q"
-    theory = "bar_natan" if cert.char == 2 else "lee"
-    cube = build_complex(d, theory, ring)
+    cube = build_complex(d, *_FIELDS[cert.char])
     cx = cube.complex
     is_zero = cx.ops.is_zero
     x = _resolve(cube, 0, cert.x)

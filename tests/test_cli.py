@@ -1,5 +1,6 @@
 """CLI contract: subcommands, formats, exit codes, caching, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -92,6 +93,18 @@ def test_verify_adjunction(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["cases"][0]["bound"] == 0
+
+
+@pytest.mark.slow
+def test_compute_torus_4_4_output_pinned(capsys):
+    # [DERIVED] T(4,4)_{2,2} over F2 with Sq¹: stdout (the Khovanov table,
+    # the invariants and every certificate chain) is byte-identical to the
+    # recorded reference.
+    code, out, _ = run(capsys, "compute", "--link", "torus:4:2", "--char",
+                       "2", "--theta", "sq1", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1b9dea205f3b140270e1dcfb6ceacf73e813cce4f819e1f1b7fe157953a86a16")
 
 
 @pytest.mark.slow

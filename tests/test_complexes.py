@@ -127,7 +127,9 @@ def test_sublevel_homology_maps():
     # [DERIVED] for the Bar-Natan complex of the trefoil the sublevel
     # inclusion j at the top filtration level of H^0 has rank 1 at q = s-1.
     cx = build_complex(trefoil(), "bar_natan", "gf2").complex
-    sh = sublevel_homology(cx, 1, 0)  # q = s - 1 = 1
+    gr, gkeep = gr_slice(cx, 1)  # q = s - 1 = 1
+    sh = sublevel_homology(cx, 1, 0, homology_reps(cx, 0), gr, gkeep,
+                           homology_reps(gr, 0))
     assert sh.j_mat  # nonempty inclusion data
     # H^0 of the Bar-Natan complex of a knot is 2-dimensional
     assert cx.betti(0) == 2

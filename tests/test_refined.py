@@ -2,8 +2,11 @@
 
 import pytest
 
+from khs.bockstein import sq1
+from khs.linalg import GF2
 from khs.links import (
     TorusLinkSpec,
+    braid_closure,
     empty_link,
     hopf_link,
     torus_link,
@@ -14,9 +17,9 @@ from khs.refined_s import (
     SQ1,
     ZERO,
     ThetaOperation,
+    _Pipeline,
     adjunction_bound,
     disjoint_union_check,
-    fullness,
     refined_invariants,
     s_classical,
     validate_certificate,
@@ -69,11 +72,19 @@ def test_s_9_42():
 
 
 def test_zero_theta_identity():
-    # [DERIVED] with theta = 0 the refined invariants equal s.
+    # [DERIVED] with theta = 0 the refined invariants equal s, and so do
+    # their definitions swept over every level: r_plus = max θ-half-full
+    # + 1 and s_plus = max θ-full + 3.
     for d in (unknot(), trefoil(), trefoil().mirror(), hopf_link()):
         for char in (0, 2):
-            res = refined_invariants(d, ZERO, char=char, full_sweep=True)
+            res = refined_invariants(d, ZERO, char=char)
             assert res.r_plus == res.s_classical == res.s_plus
+            pipe = _Pipeline(d, char)
+            lvls = pipe.degree0_levels()
+            dims = {q: pipe.v_dim(q, "zero")
+                    for q in range(min(lvls) - 2, max(lvls) + 1, 2)}
+            assert max(q for q, v in dims.items() if v >= 1) + 1 == res.r_plus
+            assert max(q for q, v in dims.items() if v == 2) + 3 == res.s_plus
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +181,49 @@ def test_tampered_certificate_rejected():
 def test_fullness_profile_unknot():
     # [DERIVED] profile around s: full (dim 2) for q <= s - 1, half-full
     # (dim 1) at q = s + 1, empty from q = s + 3 on; so
-    # s = max{full} + 1 = max{half-full} - 1.
-    assert fullness(unknot(), -1).dim == 2
-    assert fullness(unknot(), 1).dim == 1
-    assert fullness(unknot(), 3).dim == 0
+    # s = max{full} + 1 = max{half-full} - 1.  dim im(j) ∩ W is v_dim's
+    # "plain" mode.
+    pipe = _Pipeline(unknot(), 0)
+    assert [pipe.v_dim(q, "plain") for q in (-1, 1, 3)] == [2, 1, 0]
     d = trefoil()
     s = s_classical(d, char=2)
-    assert fullness(d, s - 1, char=2).dim == 2
-    assert fullness(d, s + 1, char=2).dim == 1
-    assert fullness(d, s + 3, char=2).dim == 0
+    pipe = _Pipeline(d, 2)
+    assert [pipe.v_dim(q, "plain") for q in (s - 1, s + 1, s + 3)] == \
+        [2, 1, 0]
 
 
 def test_fullness_monotone_in_q():
-    # [DERIVED] V^q is decreasing in q.
-    d = hopf_link()
-    dims = [fullness(d, q, char=2).dim for q in range(-6, 7, 2)]
+    # [DERIVED] dim im(j) ∩ W is decreasing in q.
+    pipe = _Pipeline(hopf_link(), 2)
+    dims = [pipe.v_dim(q, "plain") for q in range(-6, 7, 2)]
     assert dims == sorted(dims, reverse=True)
+
+
+@pytest.mark.parametrize("optimized", [True, False])
+def test_theta_rank_matches_unreduced_bockstein(optimized):
+    # [DERIVED] theta_data(q) lifts Sq¹ through reduced integral slices
+    # and writes it in the gr-homology basis of the Bar-Natan complex,
+    # which at level q is the mod-2 Khovanov complex; bockstein.sq1 works
+    # on the unreduced q-slice.  Both are Sq¹: Kh^{-1,q} → Kh^{0,q}, so
+    # their ranks agree at every level of degrees −1 and 0.
+    links = {name: builtin_diagram(name) for name in
+             ("unknot", "trefoil", "trefoil_mirror", "hopf", "hopf_neg",
+              "torus:3:0", "torus:3:1", "9_42")}
+    for word in ((1, 1, -2, 1, -2, -2, -2), (1, -2, -2, 1, 1, -2, 1)):
+        links[word] = braid_closure(3, list(word))
+    nonzero = {}
+    for name, d in links.items():
+        pipe = _Pipeline(d, 2, optimized, need_sq1=True)
+        lv = pipe.cube_z.complex.levels
+        for q in sorted(set(lv.get(-1, [])) | set(lv.get(0, []))):
+            cols = [{g: v for g, v in enumerate(coords) if v}
+                    for _, coords in pipe.theta_data(q)]
+            rank = GF2.rank(cols)
+            assert rank == sq1(pipe.cube_z, 0, q).rank, (name, q)
+            if rank:
+                nonzero[name, q] = rank
+    assert nonzero == {("9_42", 1): 1, ((1, 1, -2, 1, -2, -2, -2), -2): 2,
+                       ((1, -2, -2, 1, 1, -2, 1), 0): 2}
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +244,18 @@ def test_disjoint_union_additivity():
 
 
 def test_adjunction_bound_arithmetic():
-    # [TRIVIAL] bound = s0 - chi - self_intersection - #surface components.
+    # [TRIVIAL] bound = s0 - chi - [Σ]² - |[Σ]|, the last term the L1 norm
+    # of the class of Σ, which cannot be negative.
     assert adjunction_bound(1, 1, -1, 1) == 0
     assert adjunction_bound(3, -1, 0, 2) == 2
     with pytest.raises(ValueError):
-        adjunction_bound(0, 0, 0, 0)
+        adjunction_bound(0, 0, 0, -1)
+
+
+def test_adjunction_bound_unknot_disk():
+    # [PAPER] the unknot's standard disk is null-homologous (|[Σ]| = 0),
+    # a cobordism from the empty link (s = 1) with χ = 1: bound 0 = s.
+    assert s_classical(unknot()) <= adjunction_bound(1, 1, 0, 0) == 0
 
 
 def test_adjunction_942():
