@@ -11,13 +11,12 @@ from khs import (
     sq1_table,
     validate_certificate,
 )
-from khs.serialize import homology_table_to_text, refined_result_to_text
+from khs.serialize import compute_to_text
 
 d = knot_9_42()
-print(homology_table_to_text(khovanov_homology(d, "Z")))
-print("Sq1 ranks:", sq1_table(d))
 res = refined_invariants(d, SQ1)
-print(refined_result_to_text(res))
+print(compute_to_text(khovanov_homology(d, "Z"), res))
+print("Sq1 ranks:", sq1_table(d))
 for name, cert in sorted(res.certificates.items()):
     if cert is not None:
         print(f"certificate {name} at q={cert.q}: "

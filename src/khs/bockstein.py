@@ -20,7 +20,7 @@ from .complexes import (
     homology_reps,
     q_slice,
 )
-from .cube import CubeComplex, build_complex, with_ring
+from .cube import CubeComplex, build_complex
 from .links import OrientedLinkDiagram
 
 
@@ -60,8 +60,8 @@ class BocksteinMap:
 
 def sq1(cube_z: CubeComplex, i: int, q: int) -> BocksteinMap:
     """The Bockstein map into bidegree (i, q)."""
-    f2 = with_ring(cube_z, "gf2").complex
-    sl, keep = q_slice(f2, q)
+    cx_z = cube_z.complex
+    sl, keep = q_slice(FilteredComplex("gf2", cx_z.levels, cx_z.diff), q)
     src = homology_reps(sl, i - 1)
     target_reps = homology_reps(sl, i)
     back_src = keep.get(i - 1, [])
@@ -69,7 +69,7 @@ def sq1(cube_z: CubeComplex, i: int, q: int) -> BocksteinMap:
     matrix = []
     for r in src:
         lifted = {back_src[j]: 1 for j in r}
-        image = bockstein_chain(cube_z.complex, i - 1, lifted)
+        image = bockstein_chain(cx_z, i - 1, lifted)
         local = {pos_tgt[g]: 1 for g in image}
         coords = class_coords(sl, i, target_reps, local)
         if coords is None:

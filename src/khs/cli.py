@@ -90,26 +90,10 @@ def cmd_compute(args) -> int:
         if (naive.s_classical, naive.r_plus, naive.s_plus) != (
                 res.s_classical, res.r_plus, res.s_plus):
             raise AssertionError("oracle mismatch: refined invariants")
-    if args.format == "json":
-        print(serialize.dumps({
-            "khovanov": serialize.homology_table_to_json(table),
-            "refined": serialize.refined_result_to_json(res),
-        }))
-    elif args.format == "csv":
-        sys.stdout.write(serialize.homology_table_to_csv(table))
-        print(f"s,{res.s_classical}\nr_plus,{res.r_plus}\n"
-              f"s_plus,{res.s_plus}")
-    else:
-        print(f"link: {res.link}")
-        print("Khovanov homology (Z):")
-        for (h, q), (rank, torsion) in sorted(table.entries.items()):
-            tor = " + ".join(f"Z/{t}" for t in torsion)
-            free = f"Z^{rank}" if rank else ""
-            body = " + ".join(x for x in (free, tor) if x) or "0"
-            print(f"  h={h:>3} q={q:>3}  {body}")
-        print(f"char {res.char}, theta {res.theta.kind}: "
-              f"s = {res.s_classical}, r_plus = {res.r_plus}, "
-              f"s_plus = {res.s_plus}")
+    render = {"json": serialize.compute_to_json,
+              "csv": serialize.compute_to_csv,
+              "text": serialize.compute_to_text}[args.format]
+    print(render(table, res))
     return 0
 
 

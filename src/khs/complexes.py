@@ -116,13 +116,12 @@ class FilteredComplex:
 # ---------------------------------------------------------------------------
 
 
-def restrict(cx: FilteredComplex, keep: dict[int, list[int]],
-             entry_filter=None) -> FilteredComplex:
+def restrict(cx: FilteredComplex,
+             keep: dict[int, list[int]]) -> FilteredComplex:
     """Subquotient spanned by ``keep`` indices per degree.
 
-    Keeps only differential entries between kept generators (and passing
-    ``entry_filter(level_src, level_tgt)`` when given).  Legitimate for
-    subcomplexes and associated-graded slices.
+    Keeps only differential entries between kept generators.  Legitimate
+    for subcomplexes and associated-graded slices.
     """
     levels = {}
     diff = {}
@@ -138,8 +137,7 @@ def restrict(cx: FilteredComplex, keep: dict[int, list[int]],
         for j in sel:
             col = {}
             for i, v in allcols[j].items():
-                if i in tgt and (entry_filter is None or entry_filter(
-                        cx.levels[h][j], cx.levels[h + 1][i])):
+                if i in tgt:
                     col[tgt[i]] = v
             cols.append(col)
         diff[h] = cols
@@ -152,16 +150,11 @@ def level_indices(cx: FilteredComplex, pred) -> dict[int, list[int]]:
 
 
 def q_slice(cx: FilteredComplex, q: int) -> tuple[FilteredComplex, dict]:
-    """Level-q homogeneous subcomplex (valid when d preserves levels)."""
+    """Associated-graded complex gr_q at level q: the level-q generators
+    and the (level-preserving) entries between them, with their index
+    lists.  When d preserves levels it is the level-q direct summand."""
     keep = level_indices(cx, lambda l: l == q)
     return restrict(cx, keep), keep
-
-
-def gr_slice(cx: FilteredComplex, q: int) -> tuple[FilteredComplex, dict]:
-    """Associated-graded complex at level q: level-q generators with the
-    level-preserving part of the differential."""
-    keep = level_indices(cx, lambda l: l == q)
-    return restrict(cx, keep, lambda ls, lt: ls == lt), keep
 
 
 def sublevel(cx: FilteredComplex, q: int) -> tuple[FilteredComplex, dict]:
@@ -215,14 +208,11 @@ class SublevelHomology:
 
     ``reps`` are cycle representatives in original-complex coordinates;
     ``j_mat``/``p_mat`` hold one coordinate vector per representative in
-    the ``full_reps`` / ``gr_reps`` bases.
+    the bases of H^h(C) and H^h(gr_q C) that :func:`sublevel_homology`
+    was given.
     """
 
-    h: int
-    q: int
     reps: list[Column]
-    full_reps: list[Column]
-    gr_reps: list[Column]
     j_mat: list[list]
     p_mat: list[list]
 
@@ -231,7 +221,7 @@ def sublevel_homology(cx: FilteredComplex, q: int, h: int,
                       full_reps: list[Column], gr: FilteredComplex,
                       gkeep: dict, gr_reps: list[Column]) -> SublevelHomology:
     """H^h(C^{≥q}) against the bases ``full_reps`` of H^h(C) and
-    ``gr_reps`` of H^h(gr_q C), where ``gr, gkeep = gr_slice(cx, q)``."""
+    ``gr_reps`` of H^h(gr_q C), where ``gr, gkeep = q_slice(cx, q)``."""
     sub, keep = sublevel(cx, q)
     sub_reps_local = homology_reps(sub, h)
     back = keep.get(h, [])
@@ -249,7 +239,7 @@ def sublevel_homology(cx: FilteredComplex, q: int, h: int,
         if pc is None:
             raise AssertionError("level-q part is not a gr-cycle")
         p_mat.append(pc)
-    return SublevelHomology(h, q, reps, full_reps, gr_reps, j_mat, p_mat)
+    return SublevelHomology(reps, j_mat, p_mat)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .complexes import Column, FilteredComplex, apply
+from .complexes import Coeff, Column, FilteredComplex, apply
 from .links import (
     OrientedLinkDiagram,
     oriented_resolution,
@@ -64,6 +64,17 @@ class CubeComplex:
         v, labels = self.gens[h][k]
         vs = format(v, f"0{n}b")[::-1] if n else "-"
         return f"v{vs}:" + "".join("x" if l else "1" for l in labels)
+
+    def from_gen_ids(self, h: int, chain: dict[str, Coeff]) -> Column:
+        """The inverse of :meth:`gen_id` on a chain at degree h:
+        ``{gen_id: coeff}`` to ``{index: coeff}``."""
+        out: Column = {}
+        for gid, coeff in chain.items():
+            vs, labels = gid[1:].split(":")
+            v = 0 if vs == "-" else int(vs[::-1], 2)
+            key = (v, tuple(1 if ch == "x" else 0 for ch in labels))
+            out[self.index[h][key]] = coeff
+        return out
 
 
 def _skeleton(d: OrientedLinkDiagram) -> tuple:
@@ -193,18 +204,6 @@ def build_complex(d: OrientedLinkDiagram, theory: str,
                        {p - nm: i for p, i in index.items()})
 
 
-def with_ring(cube: CubeComplex, ring: str) -> CubeComplex:
-    """Reinterpret an integral Khovanov cube over another coefficient ring.
-
-    The generator ordering and differential entries are shared; only the
-    ring tag changes (entries are read modulo 2 for GF(2)).
-    """
-    cx = cube.complex
-    return CubeComplex(cube.diagram, cube.theory,
-                       FilteredComplex(ring, cx.levels, cx.diff),
-                       cube.gens, cube.index)
-
-
 # ---------------------------------------------------------------------------
 # Bigraded Khovanov homology tables
 # ---------------------------------------------------------------------------
@@ -279,14 +278,11 @@ def canonical_cycle(cube: CubeComplex, reverse: bool = False) -> Column:
     if cube.theory not in _CANONICAL:
         raise ValueError("canonical generators exist for lee/bar_natan only")
     d = cube.diagram
-    res = oriented_resolution(d)
     vertex_bits = d.oriented_vertex()
     v = sum(b << i for i, b in enumerate(vertex_bits))
     a_exp, b_exp = _CANONICAL[cube.theory]
-    terms: list[list[tuple[int, int]]] = []
-    for c in range(res.circle_count):
-        parity = res.label_parity(c) ^ (1 if reverse else 0)
-        terms.append(list(b_exp if parity else a_exp))
+    terms = [b_exp if parity ^ reverse else a_exp
+             for parity in oriented_resolution(d)]
     chain: Column = {}
     idx = cube.index[0]
     for combo in product(*[range(len(t)) for t in terms]):

@@ -61,6 +61,9 @@ class OrientedLinkDiagram:
                                          repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.free_loops < 0:
+            raise PDError(
+                f"free loop count must be >= 0, got {self.free_loops}")
         self.crossings = sorted(self.crossings, key=lambda c: c.quad)
         self._validate_arcs()
         self._label_components()
@@ -103,9 +106,6 @@ class OrientedLinkDiagram:
     @property
     def n_crossings(self) -> int:
         return len(self.crossings)
-
-    def arcs(self) -> list[int]:
-        return list(self._arcs)
 
     def is_empty(self) -> bool:
         return not self.crossings and self.free_loops == 0
@@ -154,10 +154,6 @@ class OrientedLinkDiagram:
         return OrientedLinkDiagram(new, self.free_loops,
                                    list(self.component_orientations))
 
-    def reverse_all(self) -> "OrientedLinkDiagram":
-        return OrientedLinkDiagram(list(self.crossings), self.free_loops,
-                                   [not f for f in self.component_orientations])
-
     def with_orientations(self, flags: Sequence[bool]) -> "OrientedLinkDiagram":
         return OrientedLinkDiagram(list(self.crossings), self.free_loops, list(flags))
 
@@ -193,7 +189,8 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
     """Parse semicolon/whitespace separated ``X(a,b,c,d)`` quadruples.
 
     The optional ``reversed=i,j`` and ``loops=n`` suffixes emitted by
-    :func:`serialize_pd` are accepted after a ``|`` separator.
+    :func:`serialize_pd` are accepted after a ``|`` separator.  Every
+    connected piece of the diagram must pass the planarity face count.
     """
     text = text.strip()
     free_loops = 0
@@ -202,12 +199,16 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
         text, _, suffix = text.partition("|")
         for part in suffix.replace(";", " ").split():
             key, _, val = part.partition("=")
-            if key == "loops":
-                free_loops += int(val)
+            try:
+                nums = [int(x) for x in val.split(",") if x]
+            except ValueError:
+                raise PDError(f"malformed PD suffix {part!r}") from None
+            if key == "loops" and len(nums) == 1:
+                free_loops += nums[0]
             elif key == "reversed":
-                reversed_comps = [int(x) for x in val.split(",") if x]
+                reversed_comps = nums
             else:
-                raise PDError(f"unknown PD suffix {part!r}")
+                raise PDError(f"unknown or malformed PD suffix {part!r}")
     body = text.replace(";", " ")
     quads: list[tuple[int, int, int, int]] = []
     consumed = _QUAD_RE.sub(" ", body)
@@ -220,9 +221,14 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
         quads.append(tuple(nums))
     crossings = _derive_over_entries(quads)
     d = OrientedLinkDiagram(crossings, free_loops)
+    for piece in _universe_pieces(d):
+        _universe_faces(d, piece)
     if reversed_comps:
         flags = [False] * d.component_count
         for i in reversed_comps:
+            if not 0 <= i < d.component_count:
+                raise PDError(f"reversed component {i} out of range "
+                              f"(component count {d.component_count})")
             flags[i] = True
         d = d.with_orientations(flags)
     return d
@@ -324,10 +330,6 @@ class TorusLinkSpec:
         if not 0 <= 2 * self.q_reversed <= self.n:
             raise ValueError("need 0 <= q_reversed <= n/2")
 
-    @property
-    def p(self) -> int:
-        return self.n - self.q_reversed
-
 
 def braid_closure(n_strands: int, word: Iterable[int],
                   reversed_strands: Iterable[int] = ()) -> OrientedLinkDiagram:
@@ -421,23 +423,6 @@ def hopf_link() -> OrientedLinkDiagram:
 # -- oriented resolution and planar structure ---------------------------------
 
 
-@dataclass
-class OrientedResolution:
-    """Circles of the orientation-respecting smoothing with nesting data."""
-
-    circles: list[tuple[int, ...]]  # arcs on each circle (sorted); () = free loop
-    nesting_depth: list[int]
-    winding: list[int]  # 0/1 rotation sense relative to the chosen outer face
-    crossing_to_circles: list[tuple[int, int]]
-
-    @property
-    def circle_count(self) -> int:
-        return len(self.circles)
-
-    def label_parity(self, i: int) -> int:
-        return (self.nesting_depth[i] + self.winding[i]) % 2
-
-
 def resolution_circles(d: OrientedLinkDiagram, vertex: Sequence[int]):
     """Circles of an arbitrary cube vertex.
 
@@ -454,7 +439,7 @@ def resolution_circles(d: OrientedLinkDiagram, vertex: Sequence[int]):
             _union(parent, q[1], q[2])
             _union(parent, q[3], q[0])
     groups: dict[int, list[int]] = {}
-    for a in d.arcs():
+    for a in d._arcs:
         groups.setdefault(_find(parent, a), []).append(a)
     circles = sorted([tuple(sorted(g)) for g in groups.values()])
     circles += [()] * d.free_loops
@@ -523,11 +508,14 @@ def _universe_faces(d: OrientedLinkDiagram, piece: list[int]):
     return faces
 
 
-def oriented_resolution(d: OrientedLinkDiagram) -> OrientedResolution:
+def oriented_resolution(d: OrientedLinkDiagram) -> list[int]:
+    """Label parity of each circle of the orientation-respecting smoothing
+    (in :func:`resolution_circles` order): its nesting depth plus its 0/1
+    rotation sense relative to the chosen outer face, mod 2."""
     if d.is_empty():
         raise PDError("empty diagram has no oriented resolution")
     vertex = d.oriented_vertex()
-    circles, arc_circle, cr_circ = resolution_circles(d, vertex)
+    circles, arc_circle, _ = resolution_circles(d, vertex)
     depth = [0] * len(circles)
     winding = [0] * len(circles)
 
@@ -589,4 +577,4 @@ def oriented_resolution(d: OrientedLinkDiagram) -> OrientedResolution:
             depth[circ] = dist[r1]
             ci, left, right = sorted(strand_info[circ])[0]
             winding[circ] = 0 if _find(parent, left) == r2 else 1
-    return OrientedResolution(list(circles), depth, winding, cr_circ)
+    return [(dp + w) % 2 for dp, w in zip(depth, winding)]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .bockstein import bockstein_chain
+from .bockstein import bockstein_chain, sq1
 from .complexes import (
     Column,
     FilteredComplex,
@@ -38,7 +38,6 @@ from .complexes import (
     apply,
     class_coords,
     filtered_reduce,
-    gr_slice,
     homology_reps,
     lift_chain,
     push_chain,
@@ -147,11 +146,13 @@ class _Pipeline:
     sublevel/graded homology is computed on a much smaller complex) and of
     each integral q-slice before extracting Sq¹; the naive path is the same
     pipeline with nothing cancelled (:func:`unreduced`).  Certificates are
-    always expressed in original cube coordinates.
+    always expressed in original cube coordinates.  The integral Khovanov
+    cube ``cube_z`` that Sq¹ needs is built by the first
+    :meth:`theta_data` call.
     """
 
     def __init__(self, d: OrientedLinkDiagram, char: int,
-                 optimized: bool = True, need_sq1: bool = False):
+                 optimized: bool = True):
         if d.component_count == 0:
             raise ValueError("empty link has no canonical subspace W")
         if char not in _FIELDS:
@@ -180,10 +181,6 @@ class _Pipeline:
             raise AssertionError(self._failure(
                 "canonical classes are not independent", None))
         self.cube_z: CubeComplex | None = None
-        if need_sq1:
-            if char != 2:
-                raise ValueError("Sq¹ refinement needs characteristic 2")
-            self.cube_z = build_complex(d, "khovanov", "Z")
         # per-level results, each computed once: plain dicts, so that a
         # finished pipeline is freed as soon as its last reference goes
         self._sh_cache: dict[int, SublevelHomology] = {}
@@ -203,7 +200,7 @@ class _Pipeline:
         """Graded slice at q, its index lists and its degree-0 homology
         basis."""
         if q not in self._gr_cache:
-            gcx, gkeep = gr_slice(self.cx, q)
+            gcx, gkeep = q_slice(self.cx, q)
             self._gr_cache[q] = (gcx, gkeep, homology_reps(gcx, 0))
         return self._gr_cache[q]
 
@@ -211,10 +208,12 @@ class _Pipeline:
         """Per Sq¹-source basis class: (source cycle in original Khovanov
         coordinates at degree −1, coordinates of its Sq¹ image in the
         gr-homology basis of :meth:`gr`)."""
-        if self.cube_z is None:
-            raise ValueError("pipeline built without Sq¹ support")
+        if self.char != 2:
+            raise ValueError("Sq¹ refinement needs characteristic 2")
         if q in self._theta_cache:
             return self._theta_cache[q]
+        if self.cube_z is None:
+            self.cube_z = build_complex(self.d, "khovanov", "Z")
         zsl, zkeep = q_slice(self.cube_z.complex, q)
         out: list[tuple[Column, list]] = []
         if zsl.dim(-1) and zsl.dim(0):
@@ -259,8 +258,8 @@ class _Pipeline:
         if key in self._system_cache:
             return self._system_cache[key]
         SH = self.sh(q)
-        nfull = len(SH.full_reps)
-        ngr = len(SH.gr_reps)
+        nfull = len(self.full_reps)
+        ngr = len(self.gr(q)[2])
         cols: list[dict] = []
         for k in range(len(SH.reps)):
             col = {t: v for t, v in enumerate(SH.j_mat[k]) if v}
@@ -357,7 +356,7 @@ class _Pipeline:
                 w = bockstein_chain(self.cube_z.complex, -1, u)
                 for i, v in w.items():
                     xq[i] = xq.get(i, 0) - v
-            gcx0, gkeep0 = gr_slice(cx0, q)
+            gcx0, gkeep0 = q_slice(cx0, q)
             gpos = {g: k for k, g in enumerate(gkeep0.get(0, []))}
             xq_loc = {gpos[i]: v for i, v in xq.items()}
             z_loc = self.ops.solve(gcx0.columns(-1), xq_loc, gcx0.dim(0))
@@ -439,7 +438,7 @@ def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
     if d.component_count == 0:
         return RefinedSResult(link_id, 0, char, theta, 1, 1, 1,
                               {"r_plus": None, "s_plus": None})
-    pipe = _Pipeline(d, char, optimized, need_sq1=theta.kind == "sq1")
+    pipe = _Pipeline(d, char, optimized)
     s = pipe.s_value()
     mode = theta.kind
     certs: dict[str, FullnessCertificate | None] = {}
@@ -480,13 +479,11 @@ def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
                           s, r_plus_v, s_plus_v, certs)
 
 
-def sq1_vanishing_hypothesis(t: OrientedLinkDiagram) -> bool:
-    """Sq¹: Kh^{i−1,s(T)−1} → Kh^{i,s(T)−1} is zero for i = 0, 1."""
-    from .bockstein import sq1
-
+def sq1_vanishing_hypothesis(t: OrientedLinkDiagram, s: int) -> bool:
+    """Sq¹: Kh^{i−1,s−1} → Kh^{i,s−1} is zero for i = 0, 1, where s is
+    the 𝔽₂ s-invariant of T."""
     if t.component_count == 0:
         return True
-    s = s_classical(t, char=2)
     cube_z = build_complex(t, "khovanov", "Z")
     return all(sq1(cube_z, i, s - 1).rank == 0 for i in (0, 1))
 
@@ -499,9 +496,10 @@ def disjoint_union_check(left: OrientedLinkDiagram,
     (·, s(T)−1); if it fails, the report flags it and skips the union
     computation (the identity is not asserted by the statement then).
     """
-    hyp = sq1_vanishing_hypothesis(right)
+    res_r = refined_invariants(right, SQ1)
+    hyp = sq1_vanishing_hypothesis(right, res_r.s_classical)
     sp_l = refined_invariants(left, SQ1).s_plus
-    sp_r = refined_invariants(right, SQ1).s_plus
+    sp_r = res_r.s_plus
     if not hyp:
         return DisjointUnionReport(False, None, sp_l, sp_r, None)
     union = left.disjoint_union(right)
@@ -530,27 +528,14 @@ def adjunction_bound(s0: int, chi: int, self_intersection: int,
 # ---------------------------------------------------------------------------
 
 
-def _parse_gen_id(gid: str) -> tuple[int, tuple[int, ...]]:
-    vs, labels = gid[1:].split(":")
-    v = 0 if vs == "-" else int(vs[::-1], 2)
-    return v, tuple(1 if ch == "x" else 0 for ch in labels)
-
-
-def _resolve(cube: CubeComplex, h: int, chain: dict) -> Column:
-    out: Column = {}
-    for gid, coeff in chain.items():
-        out[cube.index[h][_parse_gen_id(gid)]] = coeff
-    return out
-
-
 def validate_certificate(d: OrientedLinkDiagram,
                          cert: FullnessCertificate) -> bool:
     """Re-check a fullness certificate from scratch by chain arithmetic."""
     cube = build_complex(d, *_FIELDS[cert.char])
     cx = cube.complex
     is_zero = cx.ops.is_zero
-    x = _resolve(cube, 0, cert.x)
-    y = _resolve(cube, -1, cert.y)
+    x = cube.from_gen_ids(0, cert.x)
+    y = cube.from_gen_ids(-1, cert.y)
     # filtration support and cycle condition for x
     lv0 = cx.levels[0]
     if any(lv0[i] < cert.q for i, v in x.items() if v):
@@ -573,7 +558,7 @@ def validate_certificate(d: OrientedLinkDiagram,
     xq = {i: v for i, v in x.items() if lv0[i] == cert.q}
     if cert.kind == "sq1":
         cube_z = build_complex(d, "khovanov", "Z")
-        u = _resolve(cube_z, -1, cert.u)
+        u = cube_z.from_gen_ids(-1, cert.u)
         zlv = cube_z.complex.levels.get(-1, [])
         if any(zlv[i] != cert.q for i in u):
             return False
@@ -583,10 +568,10 @@ def validate_certificate(d: OrientedLinkDiagram,
         w = bockstein_chain(cube_z.complex, -1, u)
         for i, v in w.items():
             xq[i] = xq.get(i, 0) - v
-    gcx, gkeep = gr_slice(cx, cert.q)
+    gcx, gkeep = q_slice(cx, cert.q)
     gpos = {g: k for k, g in enumerate(gkeep.get(0, []))}
     posm1 = {g: k for k, g in enumerate(gkeep.get(-1, []))}
-    z = _resolve(cube, -1, cert.z or {})
+    z = cube.from_gen_ids(-1, cert.z or {})
     acc = apply(gcx.columns(-1), {posm1[i]: v for i, v in z.items()})
     for i, v in xq.items():
         if v and i not in gpos:

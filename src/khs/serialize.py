@@ -1,9 +1,10 @@
-"""JSON / CSV serialization for homology tables and refined-s results.
+"""JSON / CSV / text serialization for homology tables and refined-s results.
 
 JSON is the stable machine-readable contract; CSV covers bigraded tables
 with the fixed header ``h,q,rank,torsion``; text output is human-oriented
 and makes no format promises.  Rational coefficients are encoded as
-"p/q" strings so round-trips stay exact.
+"p/q" strings so round-trips stay exact.  ``compute_to_<format>`` renders
+the output of ``khs compute``.
 """
 
 from __future__ import annotations
@@ -47,18 +48,6 @@ def homology_table_to_csv(table: HomologyTable) -> str:
     return buf.getvalue()
 
 
-def homology_table_to_text(table: HomologyTable) -> str:
-    lines = [f"ring {table.ring}"]
-    for (h, q), (rank, torsion) in sorted(table.entries.items()):
-        parts = []
-        if rank:
-            base = "F" if table.ring != "Z" else "Z"
-            parts.append(base if rank == 1 else f"{base}^{rank}")
-        parts.extend(f"Z/{t}" for t in torsion)
-        lines.append(f"  h={h:>3} q={q:>3}  " + " + ".join(parts))
-    return "\n".join(lines)
-
-
 def certificate_to_json(cert: FullnessCertificate) -> dict:
     return {
         "q": cert.q,
@@ -89,13 +78,29 @@ def refined_result_to_json(res: RefinedSResult) -> dict:
     }
 
 
-def refined_result_to_text(res: RefinedSResult) -> str:
-    return (f"link: {res.link}\n"
-            f"char {res.char}, theta {res.theta.kind}\n"
-            f"s = {res.s_classical}\n"
-            f"r_plus = {res.r_plus}\n"
-            f"s_plus = {res.s_plus}")
-
-
 def dumps(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def compute_to_json(table: HomologyTable, res: RefinedSResult) -> str:
+    return dumps({"khovanov": homology_table_to_json(table),
+                  "refined": refined_result_to_json(res)})
+
+
+def compute_to_csv(table: HomologyTable, res: RefinedSResult) -> str:
+    return (homology_table_to_csv(table)
+            + f"s,{res.s_classical}\nr_plus,{res.r_plus}\n"
+              f"s_plus,{res.s_plus}")
+
+
+def compute_to_text(table: HomologyTable, res: RefinedSResult) -> str:
+    lines = [f"link: {res.link}", "Khovanov homology (Z):"]
+    for (h, q), (rank, torsion) in sorted(table.entries.items()):
+        tor = " + ".join(f"Z/{t}" for t in torsion)
+        free = f"Z^{rank}" if rank else ""
+        body = " + ".join(x for x in (free, tor) if x) or "0"
+        lines.append(f"  h={h:>3} q={q:>3}  {body}")
+    lines.append(f"char {res.char}, theta {res.theta.kind}: "
+                 f"s = {res.s_classical}, r_plus = {res.r_plus}, "
+                 f"s_plus = {res.s_plus}")
+    return "\n".join(lines)

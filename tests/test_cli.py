@@ -66,6 +66,28 @@ def test_parse_failure_exit_2(capsys):
     assert code == EXIT_PARSE  # sq1 needs char 2
     code, _, _ = run(capsys, "compute")
     assert code == EXIT_PARSE  # no input source
+    # the trefoil has one component, index 0, and no negative number of
+    # free loops: bad input, not a traceback or a silent guess
+    for suffix in ("reversed=5", "reversed=-1", "loops=-1"):
+        code, out, err = run(capsys, "compute", "--pd",
+                             f"X(1,4,2,5) X(3,6,4,1) X(5,2,6,3) | {suffix}")
+        assert code == EXIT_PARSE and out == "" and "error" in err, suffix
+
+
+def test_nonplanar_pd_exits_2_before_any_build(monkeypatch, capsys):
+    # [TRIVIAL] parse_pd rejects a PD code with no planar embedding, so
+    # no cube is built for it.
+    import khs.bockstein
+    import khs.cube
+    import khs.refined_s
+
+    builds = []
+    for mod in (khs.cube, khs.refined_s, khs.bockstein):
+        monkeypatch.setattr(mod, "build_complex",
+                            lambda *args, **kw: builds.append(args))
+    code, out, err = run(capsys, "compute", "--pd", "X(1,2,3,4) X(3,4,1,2)")
+    assert code == EXIT_PARSE and out == "" and "non-planar" in err
+    assert builds == []
 
 
 def test_oracle_flag(capsys):

@@ -8,7 +8,6 @@ import pytest
 from khs.complexes import (
     FilteredComplex,
     filtered_reduce,
-    gr_slice,
     homology_reps,
     lift_chain,
     push_chain,
@@ -49,7 +48,7 @@ def test_check_differential_rejects_bad():
         bad2.check_differential()
 
 
-def test_q_slice_and_gr_slice_on_cube():
+def test_q_slices_partition_homology_on_cube():
     # [DERIVED] for the undeformed Khovanov complex the differential
     # preserves q, so slices at each q partition the homology.
     cube = build_complex(trefoil(), "khovanov", "gf2")
@@ -63,12 +62,6 @@ def test_q_slice_and_gr_slice_on_cube():
             summed[h] = summed.get(h, 0) + sl.betti(h)
     assert {h: v for h, v in summed.items() if v} == \
         {h: v for h, v in total.items() if v}
-    # gr of the undeformed complex is the complex itself, sliced.
-    for q in qs:
-        g, _ = gr_slice(cx, q)
-        s, _ = q_slice(cx, q)
-        assert {h: g.betti(h) for h in g.degrees()} == \
-            {h: s.betti(h) for h in s.degrees()}
 
 
 def test_filtered_reduce_preserves_homology():
@@ -127,7 +120,7 @@ def test_sublevel_homology_maps():
     # [DERIVED] for the Bar-Natan complex of the trefoil the sublevel
     # inclusion j at the top filtration level of H^0 has rank 1 at q = s-1.
     cx = build_complex(trefoil(), "bar_natan", "gf2").complex
-    gr, gkeep = gr_slice(cx, 1)  # q = s - 1 = 1
+    gr, gkeep = q_slice(cx, 1)  # q = s - 1 = 1
     sh = sublevel_homology(cx, 1, 0, homology_reps(cx, 0), gr, gkeep,
                            homology_reps(gr, 0))
     assert sh.j_mat  # nonempty inclusion data

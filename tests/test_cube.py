@@ -9,8 +9,8 @@ from khs.cube import (
     build_complex,
     canonical_cycle,
     khovanov_homology,
-    with_ring,
 )
+from khs.complexes import FilteredComplex, q_slice
 from khs.jones import jones_polynomial
 from khs.links import (
     TorusLinkSpec,
@@ -143,23 +143,47 @@ def test_canonical_cycles_are_cycles_and_distinct():
                 assert all(x == 0 for x in acc.values())
 
 
-def test_with_ring_reinterprets():
-    # [TRIVIAL]
-    cube = build_complex(trefoil(), "khovanov", "Z")
-    c2 = with_ring(cube, "gf2")
-    assert c2.complex.ring == "gf2"
-    assert c2.complex.levels == cube.complex.levels
-
-
 def test_gen_ids_stable():
     # [TRIVIAL] generator ids round-trip through the documented format.
-    cube = build_complex(hopf_link(), "khovanov", "Z")
-    seen = set()
-    for h in cube.complex.degrees():
-        for k in range(cube.complex.dim(h)):
-            gid = cube.gen_id(h, k)
-            assert gid not in seen
-            seen.add(gid)
+    for d in (hopf_link(), unknot()):
+        cube = build_complex(d, "khovanov", "Z")
+        seen = set()
+        for h in cube.complex.degrees():
+            chain = {}
+            for k in range(cube.complex.dim(h)):
+                gid = cube.gen_id(h, k)
+                assert gid not in seen
+                seen.add(gid)
+                chain[gid] = k + 1
+            assert cube.from_gen_ids(h, chain) == {
+                k: k + 1 for k in range(cube.complex.dim(h))}
+
+
+@pytest.mark.parametrize("name", ["trefoil", "hopf_neg", "9_42",
+                                  "torus:3:1"])
+def test_deformed_gr_slices_are_khovanov_slices(name):
+    # [DERIVED] the deformations x² = x (Bar-Natan) and x² = 1 (Lee) only
+    # add terms that raise q, so gr_q of each deformed cube, the level-q
+    # slice that the p-map and θ read Kh^{*,q} from, is the Khovanov
+    # complex's level-q slice: same levels and the same entries, in order.
+    d = builtin_diagram(name)
+    cubes = {(theory, ring): build_complex(d, theory, ring).complex
+             for theory, ring in (("bar_natan", "gf2"), ("khovanov", "gf2"),
+                                  ("lee", "Q"), ("khovanov", "Q"),
+                                  ("khovanov", "Z"))}
+    bn = cubes["bar_natan", "gf2"]
+    bn_z = FilteredComplex("Z", bn.levels, bn.diff)
+
+    def sl(cx, q):
+        s, _ = q_slice(cx, q)
+        return s.levels, {h: [repr(c) for c in cols]
+                          for h, cols in s.diff.items()}
+
+    qs = sorted({q for lv in bn.levels.values() for q in lv})
+    for q in qs:
+        assert sl(bn, q) == sl(cubes["khovanov", "gf2"], q), q
+        assert sl(cubes["lee", "Q"], q) == sl(cubes["khovanov", "Q"], q), q
+        assert sl(bn_z, q) == sl(cubes["khovanov", "Z"], q), q
 
 
 def _reference_cube(d, theory):

@@ -7,6 +7,8 @@ Tag key used across the test suite:
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from khs.links import (
     NonPlanarError,
@@ -24,6 +26,7 @@ from khs.links import (
     trefoil,
     unknot,
 )
+from khs.tables import BUILTIN_NAMES, builtin_diagram
 
 
 def test_parse_roundtrip():
@@ -41,11 +44,17 @@ def test_parse_rejects_garbage():
     with pytest.raises(PDError):
         # arc 1 used three times
         parse_pd("X(1,1,1,2) X(2,3,3,4)")
+    # the trefoil has one component, index 0, and no loop count is negative
+    for suffix in ("reversed=5", "reversed=-1", "loops=-1", "loops=x",
+                   "reversed=0,y", "loops=1,2"):
+        with pytest.raises(PDError):
+            parse_pd(f"X(1,4,2,5) X(3,6,4,1) X(5,2,6,3) | {suffix}")
 
 
 def test_empty_and_unknot():
     # [TRIVIAL]
-    assert empty_link().is_empty
+    assert empty_link().is_empty()
+    assert not unknot().is_empty()
     assert empty_link().component_count == 0
     assert unknot().component_count == 1
     assert unknot().n_crossings == 0  # crossingless free loop
@@ -71,7 +80,7 @@ def test_mirror_swaps_signs():
 def test_reverse_all_preserves_signs():
     # [DERIVED] reversing every component preserves each crossing sign.
     d = torus_link(TorusLinkSpec(2, 1))
-    r = d.reverse_all()
+    r = d.with_orientations([not f for f in d.component_orientations])
     assert (r.n_plus, r.n_minus) == (d.n_plus, d.n_minus)
 
 
@@ -133,9 +142,7 @@ def test_resolution_circle_counts():
 def test_oriented_resolution_parities():
     # [DERIVED] the oriented resolution of the positive Hopf link is two
     # nested circles, which differ in parity (one even, one odd).
-    res = oriented_resolution(hopf_link())
-    assert res.circle_count == 2
-    assert sorted(res.label_parity(i) for i in range(2)) == [0, 1]
+    assert sorted(oriented_resolution(hopf_link())) == [0, 1]
 
 
 def test_oriented_vertex_matches_signs():
@@ -151,6 +158,30 @@ def test_nonplanar_rejected():
     bad = "X(1,2,3,4) X(3,4,1,2)"
     with pytest.raises(NonPlanarError):
         oriented_resolution(parse_pd(bad))
+
+_SUFFIX_PARTS = st.one_of(
+    st.lists(st.integers(-3, 6), max_size=3).map(
+        lambda xs: "reversed=" + ",".join(map(str, xs))),
+    st.integers(-3, 3).map(lambda n: f"loops={n}"),
+    st.sampled_from(["loops=", "reversed", "reversed=1,,0", "loops=1,1",
+                     "twist=2", "=0"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([n for n in BUILTIN_NAMES if ":" not in n]
+                       + ["torus:3:1", "torus:4:2"]),
+       st.lists(_SUFFIX_PARTS, max_size=3))
+def test_suffixes_parse_or_raise_pderror(name, parts):
+    # [TRIVIAL] any reversed=/loops= suffix on a builtin PD code gives a
+    # diagram or a PDError, never another exception.
+    body = serialize_pd(builtin_diagram(name)).partition("|")[0].strip()
+    text = body + " | " + " ".join(parts)
+    try:
+        d = parse_pd(text)
+    except PDError:
+        return
+    assert d.free_loops >= 0
+    assert len(d.component_orientations) == d.component_count
 
 
 def test_negative_letters_give_the_mirror_trefoil():

@@ -213,8 +213,8 @@ def test_theta_rank_matches_unreduced_bockstein(optimized):
         links[word] = braid_closure(3, list(word))
     nonzero = {}
     for name, d in links.items():
-        pipe = _Pipeline(d, 2, optimized, need_sq1=True)
-        lv = pipe.cube_z.complex.levels
+        pipe = _Pipeline(d, 2, optimized)
+        lv = pipe.cube.complex.levels
         for q in sorted(set(lv.get(-1, [])) | set(lv.get(0, []))):
             cols = [{g: v for g, v in enumerate(coords) if v}
                     for _, coords in pipe.theta_data(q)]

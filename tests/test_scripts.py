@@ -19,7 +19,7 @@ def run_script(*args):
 def test_report_9_42():
     # [PAPER] 9_42 has s_plus = 0, which meets the adjunction bound 0.
     lines = run_script("scripts/report_9_42.py")
-    assert "s_plus = 0" in lines
+    assert "char 2, theta sq1: s = 0, r_plus = 0, s_plus = 0" in lines
     assert "adjunction bound: s_plus = 0 <= 0: True" in lines
     assert sum(1 for line in lines
                if line.startswith("certificate ") and

@@ -20,7 +20,7 @@ def test_homology_table_formats():
     lines = csv.strip().splitlines()
     assert lines[0] == "h,q,rank,torsion"
     assert len(lines) == 1 + len(t.entries)
-    text = serialize.homology_table_to_text(t)
+    text = serialize.compute_to_text(t, refined_invariants(trefoil(), SQ1))
     assert "Z/2" in text
 
 
