@@ -66,15 +66,12 @@ def sq1(cube_z: CubeComplex, i: int, q: int) -> BocksteinMap:
     target_reps = homology_reps(sl, i)
     back_src = keep.get(i - 1, [])
     pos_tgt = {g: k for k, g in enumerate(keep.get(i, []))}
-    matrix = []
-    for r in src:
-        lifted = {back_src[j]: 1 for j in r}
-        image = bockstein_chain(cx_z, i - 1, lifted)
-        local = {pos_tgt[g]: 1 for g in image}
-        coords = class_coords(sl, i, target_reps, local)
-        if coords is None:
-            raise AssertionError("Sq¹ output is not a cycle in its slice")
-        matrix.append(coords)
+    images = [bockstein_chain(cx_z, i - 1, {back_src[j]: 1 for j in r})
+              for r in src]
+    matrix = class_coords(sl, i, target_reps,
+                          [{pos_tgt[g]: 1 for g in w} for w in images])
+    if None in matrix:
+        raise AssertionError("Sq¹ output is not a cycle in its slice")
     return BocksteinMap(i, q, matrix)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -224,6 +223,7 @@ def _cache_dir() -> str | None:
 @functools.cache
 def _source_digest() -> str:
     """Digest of the package's sources: rows cached by other code miss."""
+    import hashlib
     h = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
@@ -231,6 +231,7 @@ def _source_digest() -> str:
 
 
 def _cache_key(pd_text: str, char: int, theta: str) -> str:
+    import hashlib
     blob = f"{pd_text}|char={char}|theta={theta}|src={_source_digest()}"
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -188,18 +188,18 @@ def homology_reps(cx: FilteredComplex, h: int) -> list[Column]:
 
 
 def class_coords(cx: FilteredComplex, h: int, reps: list[Column],
-                 cycle: Column) -> list | None:
-    """Coordinates of the class of ``cycle`` in the basis ``reps``.
+                 cycles: list[Column]) -> list[list | None]:
+    """Per cycle, the coordinates of its class in the basis ``reps``.
 
-    Returns None if ``cycle`` is not in the span of reps + boundaries
-    (which signals a non-cycle or a wrong basis).
+    None marks a cycle outside the span of reps + boundaries (which
+    signals a non-cycle or a wrong basis).  One elimination serves all.
     """
+    if not cycles:
+        return []
     ops = cx.ops
-    sol = ops.solve(reps + cx.columns(h - 1), cycle, cx.dim(h))
-    if sol is None:
-        return None
-    zero = ops.coeff(0)
-    return [sol.get(k, zero) for k in range(len(reps))]
+    zero, n = ops.coeff(0), len(reps)
+    return [None if sol is None else [sol.get(k, zero) for k in range(n)]
+            for sol in ops.solve(reps + cx.columns(h - 1), cycles, cx.dim(h))]
 
 
 @dataclass
@@ -223,22 +223,16 @@ def sublevel_homology(cx: FilteredComplex, q: int, h: int,
     """H^h(C^{≥q}) against the bases ``full_reps`` of H^h(C) and
     ``gr_reps`` of H^h(gr_q C), where ``gr, gkeep = q_slice(cx, q)``."""
     sub, keep = sublevel(cx, q)
-    sub_reps_local = homology_reps(sub, h)
     back = keep.get(h, [])
-    reps = [{back[i]: v for i, v in r.items()} for r in sub_reps_local]
+    reps = [{back[i]: v for i, v in r.items()} for r in homology_reps(sub, h)]
     gpos = {i: k for k, i in enumerate(gkeep.get(h, []))}
-    j_mat = []
-    p_mat = []
-    for r in reps:
-        jc = class_coords(cx, h, full_reps, r)
-        if jc is None:
-            raise AssertionError("sublevel cycle is not a cycle of C")
-        j_mat.append(jc)
-        part = {gpos[i]: v for i, v in r.items() if i in gpos}
-        pc = class_coords(gr, h, gr_reps, part)
-        if pc is None:
-            raise AssertionError("level-q part is not a gr-cycle")
-        p_mat.append(pc)
+    j_mat = class_coords(cx, h, full_reps, reps)
+    if None in j_mat:
+        raise AssertionError("sublevel cycle is not a cycle of C")
+    p_mat = class_coords(gr, h, gr_reps, [
+        {gpos[i]: v for i, v in r.items() if i in gpos} for r in reps])
+    if None in p_mat:
+        raise AssertionError("level-q part is not a gr-cycle")
     return SublevelHomology(reps, j_mat, p_mat)
 
 

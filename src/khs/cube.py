@@ -65,15 +65,20 @@ class CubeComplex:
         vs = format(v, f"0{n}b")[::-1] if n else "-"
         return f"v{vs}:" + "".join("x" if l else "1" for l in labels)
 
-    def from_gen_ids(self, h: int, chain: dict[str, Coeff]) -> Column:
+    def from_gen_ids(self, h: int, chain: dict[str, Coeff]) -> Column | None:
         """The inverse of :meth:`gen_id` on a chain at degree h:
-        ``{gen_id: coeff}`` to ``{index: coeff}``."""
+        ``{gen_id: coeff}`` to ``{index: coeff}``, or None if some id names
+        no generator of degree h."""
         out: Column = {}
         for gid, coeff in chain.items():
-            vs, labels = gid[1:].split(":")
-            v = 0 if vs == "-" else int(vs[::-1], 2)
+            vs, _, labels = gid[1:].partition(":")
+            # a malformed vertex reads as 0 and fails the round trip
+            v = int(vs[::-1], 2) if vs and not vs.strip("01") else 0
             key = (v, tuple(1 if ch == "x" else 0 for ch in labels))
-            out[self.index[h][key]] = coeff
+            k = self.index.get(h, {}).get(key)
+            if k is None or self.gen_id(h, k) != gid:
+                return None
+            out[k] = coeff
         return out
 
 

@@ -3,12 +3,15 @@
 Each field has one elimination, an incremental echelon basis:
 :class:`GF2Echelon` over int bitmask vectors (index i is bit i), pivoting
 on a vector's highest set bit, and :class:`QEchelon` over sparse
-``{index: Fraction}`` vectors, pivoting on a vector's lowest index.  The
-kernels of both fields are loops over these:
+``{index: int}`` vectors, pivoting on a vector's lowest index without
+forming fractions.  The rational kernels clear each input's denominators
+once and return Fractions.  The kernels of both fields are loops over
+these:
 
 * ``gf2_rank`` and ``q_rank`` take any list of vectors, rows or columns;
 * ``gf2_nullspace``, ``q_nullspace`` and ``q_solve`` take the columns of
-  the matrix;
+  the matrix, and ``q_solve`` a list of targets, all solved against one
+  elimination;
 * ``gf2_solve`` takes the rows and transposes them back into columns.
 
 Integer matrices for Smith normal form are dense lists of lists of ints.
@@ -20,6 +23,7 @@ for the chain-level code, which stores sparse ``{row: coeff}`` columns.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 # ---------------------------------------------------------------------------
 # GF(2): vectors are int bitmasks
@@ -110,50 +114,65 @@ def gf2_solve(rows: list[int], n_cols: int, target: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Rationals: vectors are sparse {index: Fraction} dicts without zeros
+# Rationals: fraction-free elimination over sparse {index: int} vectors
 # ---------------------------------------------------------------------------
 
 QRow = dict[int, Fraction]
 
 
-def q_row_sub(r: QRow, s: QRow, factor: Fraction) -> QRow:
-    out = dict(r)
-    for j, v in s.items():
-        nv = out.get(j, Fraction(0)) - factor * v
-        if nv:
-            out[j] = nv
+def _integral(vec: dict) -> tuple[dict[int, int], int]:
+    """(m·vec without zeros, m) for the least m > 0 that makes every int or
+    Fraction entry of ``vec`` an integer."""
+    m = lcm(*(v.denominator for v in vec.values()))
+    return {k: v.numerator * (m // v.denominator)
+            for k, v in vec.items() if v}, m
+
+
+def _sub(a: int, r: dict[int, int], b: int, s: dict[int, int]):
+    """a·r − b·s, without zeros (b ≠ 0)."""
+    out = {k: a * v for k, v in r.items()} if a != 1 else dict(r)
+    for k, v in s.items():
+        if nv := out.get(k, 0) - b * v:
+            out[k] = nv
         else:
-            out.pop(j, None)
+            del out[k]
     return out
 
 
 class QEchelon:
-    """Incremental echelon basis of sparse rational vectors, each pivot on
-    its vector's lowest index.
+    """Incremental echelon basis of sparse int vectors, each pivot on its
+    vector's lowest index: elimination over the rationals without fractions.
 
-    ``comb`` works as in :class:`GF2Echelon`, as a sparse vector over the
-    caller's labels.
+    A pivot reduces a vector to a·vec − b·piv (a, b coprime), which is then
+    divided, with its ``comb`` (as in :class:`GF2Echelon`, a sparse int
+    vector over the caller's labels), by their content gcd.  So each
+    remainder is a nonzero multiple of the Fraction one, on the same pivots.
     """
 
     def __init__(self) -> None:
-        self.pivots: dict[int, tuple[QRow, QRow | None]] = {}
+        self.pivots: dict[int, tuple[dict, dict | None]] = {}
 
-    def reduce(self, vec: QRow, comb: QRow | None = None):
+    def reduce(self, vec: dict[int, int], comb: dict[int, int] | None = None):
         """(remainder, comb) after subtracting pivots while one matches."""
         pivots = self.pivots
         while vec:
-            b = min(vec)
-            piv = pivots.get(b)
+            p = min(vec)
+            piv = pivots.get(p)
             if piv is None:
                 break
             pv, pcomb = piv
-            f = vec[b] / pv[b]
-            vec = q_row_sub(vec, pv, f)
+            g = gcd(pv[p], vec[p])
+            a, b = pv[p] // g, vec[p] // g
+            vec = _sub(a, vec, b, pv)
             if comb is not None:
-                comb = q_row_sub(comb, pcomb, f)
+                comb = _sub(a, comb, b, pcomb)
+            g = gcd(*vec.values(), *(comb.values() if comb else ()))
+            if g > 1:
+                vec = {k: v // g for k, v in vec.items()}
+                comb = comb and {k: v // g for k, v in comb.items()}
         return vec, comb
 
-    def add(self, vec: QRow, comb: QRow | None = None):
+    def add(self, vec: dict[int, int], comb: dict[int, int] | None = None):
         """Reduce ``vec`` and keep a nonzero remainder as a new pivot."""
         vec, comb = self.reduce(vec, comb)
         if vec:
@@ -161,14 +180,14 @@ class QEchelon:
         return vec, comb
 
 
-def q_rank(vecs: list[QRow]) -> int:
+def q_rank(vecs: list[dict]) -> int:
     ech = QEchelon()
     for v in vecs:
-        ech.add(v)
+        ech.add(_integral(v)[0])
     return len(ech.pivots)
 
 
-def q_nullspace(cols: list[QRow]) -> list[QRow]:
+def q_nullspace(cols: list[dict]) -> list[QRow]:
     """Basis of {λ : Σ λ_k·cols[k] = 0}.
 
     Scanning left to right, each column the earlier ones span gives its
@@ -178,25 +197,34 @@ def q_nullspace(cols: list[QRow]) -> list[QRow]:
     ech = QEchelon()
     basis = []
     for j, col in enumerate(cols):
-        rest, comb = ech.add(col, {j: Fraction(1)})
+        vec, m = _integral(col)
+        rest, comb = ech.add(vec, {j: m})
         if not rest:
-            basis.append(comb)
+            basis.append({k: Fraction(v, comb[j]) for k, v in comb.items()})
     return basis
 
 
-def q_solve(cols: list[QRow], target: QRow) -> QRow | None:
-    """One solution x of Σ x_j·col_j = target over the rationals, or None.
+def q_solve(cols: list[dict], targets: list[dict]) -> list[QRow | None]:
+    """Per target, one solution x of Σ x_j·col_j = target over the
+    rationals, or None.
 
-    The columns are eliminated in order, so x is supported on the columns
-    that no earlier column combination reaches.
+    The columns are eliminated once, in order, so each x is supported on
+    the columns that no earlier column combination reaches.
     """
     ech = QEchelon()
     for j, col in enumerate(cols):
-        ech.add(col, {j: Fraction(1)})
-    rest, comb = ech.reduce({k: Fraction(v) for k, v in target.items() if v},
-                            {})
-    # the remainder is target + Σ comb_j·col_j, so x = −comb
-    return None if rest else {k: -v for k, v in comb.items()}
+        vec, m = _integral(col)
+        ech.add(vec, {j: m})
+    n = len(cols)
+    sols = []
+    for target in targets:
+        vec, m = _integral(target)
+        rest, comb = ech.reduce(vec, {n: m})
+        # the remainder is m·target + Σ comb_j·col_j, so x = −comb/m
+        m = comb.pop(n)
+        sols.append(None if rest else
+                    {k: Fraction(-v, m) for k, v in comb.items()})
+    return sols
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +327,7 @@ def _nearest_div(v: int, piv: int) -> int:
 
 def int_rank(mat: list[list[int]]) -> int:
     """Rank of a dense integer matrix, given by its rows or its columns."""
-    return q_rank([{j: Fraction(v) for j, v in enumerate(r) if v}
-                   for r in mat])
+    return q_rank([dict(enumerate(r)) for r in mat])
 
 
 def _prime_power_parts(n: int) -> list[int]:
@@ -400,12 +427,13 @@ class _GF2:
     def rank(self, cols: list[dict]) -> int:
         return gf2_rank([self._mask(c) for c in cols])
 
-    def solve(self, cols: list[dict], target: dict,
-              n_rows: int) -> dict[int, int] | None:
-        """One λ with Σ λ_k·cols[k] = target, as ``{k: 1}``, or None."""
+    def solve(self, cols: list[dict], targets: list[dict],
+              n_rows: int) -> list[dict[int, int] | None]:
+        """Per target, one λ with Σ λ_k·cols[k] = target, as ``{k: 1}``, or
+        None."""
         rows = gf2_from_columns([self._mask(c) for c in cols], n_rows)
-        sol = gf2_solve(rows, len(cols), self._mask(target))
-        return None if sol is None else self._col(sol)
+        sols = [gf2_solve(rows, len(cols), self._mask(t)) for t in targets]
+        return [None if sol is None else self._col(sol) for sol in sols]
 
     def nullspace(self, cols: list[dict]) -> list[dict]:
         """Basis of {λ : Σ λ_k·cols[k] = 0}."""
@@ -437,29 +465,25 @@ class _Q:
     def is_zero(vec: dict) -> bool:
         return not any(vec.values())
 
-    @staticmethod
-    def _vec(col: dict) -> QRow:
-        return {i: Fraction(v) for i, v in col.items() if v}
-
     def rank(self, cols: list[dict]) -> int:
-        return q_rank([self._vec(c) for c in cols])
+        return q_rank(cols)
 
-    def solve(self, cols: list[dict], target: dict,
-              n_rows: int) -> QRow | None:
-        """One λ with Σ λ_k·cols[k] = target, or None."""
-        return q_solve([self._vec(c) for c in cols], self._vec(target))
+    def solve(self, cols: list[dict], targets: list[dict],
+              n_rows: int) -> list[QRow | None]:
+        """Per target, one λ with Σ λ_k·cols[k] = target, or None."""
+        return q_solve(cols, targets)
 
     def nullspace(self, cols: list[dict]) -> list[QRow]:
         """Basis of {λ : Σ λ_k·cols[k] = 0}."""
-        return q_nullspace([self._vec(c) for c in cols])
+        return q_nullspace(cols)
 
     def independent(self, span: list[dict], cols: list[dict]) -> list[dict]:
         """The columns of ``cols`` outside the span of ``span`` and of the
         columns kept before them."""
         ech = QEchelon()
         for c in span:
-            ech.add(self._vec(c))
-        return [c for c in cols if ech.add(self._vec(c))[0]]
+            ech.add(_integral(c)[0])
+        return [c for c in cols if ech.add(_integral(c)[0])[0]]
 
 
 class _Z:

@@ -169,14 +169,13 @@ class _Pipeline:
         self.cx = self.dec.reduced
         self.full_reps = homology_reps(self.cx, 0)
         # [𝔰_𝔬] and [𝔰_𝔬̄] as sparse columns over the basis full_reps
-        self.w: list[Column] = []
-        for chain in (self.s_o_orig, self.s_ob_orig):
-            coords = class_coords(self.cx, 0, self.full_reps,
-                                  push_chain(self.dec, 0, chain))
-            if coords is None:
-                raise AssertionError(self._failure(
-                    "canonical chain is not a cycle of C", None))
-            self.w.append({i: v for i, v in enumerate(coords) if v})
+        chains = (self.s_o_orig, self.s_ob_orig)
+        coords = class_coords(self.cx, 0, self.full_reps,
+                              [push_chain(self.dec, 0, c) for c in chains])
+        if None in coords:
+            raise AssertionError(self._failure(
+                "canonical chain is not a cycle of C", None))
+        self.w = [{i: v for i, v in enumerate(c) if v} for c in coords]
         if self.ops.rank(self.w) != 2:
             raise AssertionError(self._failure(
                 "canonical classes are not independent", None))
@@ -220,27 +219,26 @@ class _Pipeline:
             zdec = self.reduce(zsl)
             zred = zdec.reduced
             f2 = FilteredComplex("gf2", zred.levels, zred.diff)
-            src = homology_reps(f2, -1)
-            back_src = zkeep.get(-1, [])
-            back_tgt = zkeep.get(0, [])
+            back_src, back_tgt = zkeep.get(-1, []), zkeep.get(0, [])
             gcx, gkeep, greps = self.gr(q)
             gpos = {g: k for k, g in enumerate(gkeep.get(0, []))}
-            for rep in src:
+            us, images = [], []
+            for rep in homology_reps(f2, -1):
                 # lift the mod-2 chains through the integral reduction and
                 # keep their odd entries
                 u_loc = lift_chain(zdec, -1, rep)
                 w_loc = lift_chain(zdec, 0, bockstein_chain(zred, -1, rep))
-                u_orig = {back_src[k]: 1 for k, v in u_loc.items() if v % 2}
+                us.append({back_src[k]: 1 for k, v in u_loc.items() if v % 2})
                 w_orig = {back_tgt[k]: 1 for k, v in w_loc.items() if v % 2}
-                # express the image class in the gr basis of the working
-                # complex
+                # the image in the gr basis of the working complex
                 w_cx = push_chain(self.dec, 0, w_orig)
-                local = {gpos[i]: v for i, v in w_cx.items() if i in gpos}
-                coords = class_coords(gcx, 0, greps, local)
-                if coords is None:
-                    raise AssertionError(self._failure(
-                        "Sq¹ image is not a graded cycle", q))
-                out.append((u_orig, coords))
+                images.append({gpos[i]: v for i, v in w_cx.items()
+                               if i in gpos})
+            coords = class_coords(gcx, 0, greps, images)
+            if None in coords:
+                raise AssertionError(self._failure(
+                    "Sq¹ image is not a graded cycle", q))
+            out = list(zip(us, coords))
         self._theta_cache[q] = out
         return out
 
@@ -259,21 +257,15 @@ class _Pipeline:
             return self._system_cache[key]
         SH = self.sh(q)
         nfull = len(self.full_reps)
-        ngr = len(self.gr(q)[2])
-        cols: list[dict] = []
-        for k in range(len(SH.reps)):
-            col = {t: v for t, v in enumerate(SH.j_mat[k]) if v}
-            if mode != "plain":
-                for g, v in enumerate(SH.p_mat[k]):
-                    if v:
-                        col[nfull + g] = v
-            cols.append(col)
+        ngr = len(self.gr(q)[2]) if mode != "plain" else 0
+        # j coordinates have length nfull, so p coordinate g is row nfull+g
+        cols = [{t: v for t, v in enumerate(j + p[:ngr]) if v}
+                for j, p in zip(SH.j_mat, SH.p_mat)]
         n_a = len(cols)
         if mode == "sq1":
-            for _, coords in self.theta_data(q):
-                col = {nfull + g: -v for g, v in enumerate(coords) if v}
-                cols.append(col)
-        n_rows = nfull + (ngr if mode != "plain" else 0)
+            cols += [{nfull + g: -v for g, v in enumerate(coords) if v}
+                     for _, coords in self.theta_data(q)]
+        n_rows = nfull + ngr
         self._system_cache[key] = cols, n_a, n_rows
         return cols, n_a, n_rows
 
@@ -282,18 +274,18 @@ class _Pipeline:
         cols, _, _ = self._system(q, mode)
         return 2 - len(self.ops.independent(cols, self.w))
 
-    def witness(self, q: int, alpha, beta, mode: str):
-        """Solution (a_k, c_m) hitting α[𝔰_𝔬] + β[𝔰_𝔬̄], or None."""
+    def witness(self, q: int, targets: list[tuple], mode: str):
+        """(α, β, a_k, c_m) for the first (α, β) of ``targets`` whose
+        α[𝔰_𝔬] + β[𝔰_𝔬̄] level q hits, or None; one solve for all."""
         cols, n_a, n_rows = self._system(q, mode)
-        wo, wob = self.w
-        target = {t: alpha * wo.get(t, 0) + beta * wob.get(t, 0)
-                  for t in sorted(wo.keys() | wob.keys())}
-        sol = self.ops.solve(cols, target, n_rows)
-        if sol is None:
-            return None
-        a = {k: v for k, v in sol.items() if k < n_a and v}
-        c = {k - n_a: v for k, v in sol.items() if k >= n_a and v}
-        return a, c
+        sols = self.ops.solve(cols, [apply(self.w, {0: al, 1: be})
+                                     for al, be in targets], n_rows)
+        for (alpha, beta), sol in zip(targets, sols):
+            if sol is not None:
+                return (alpha, beta,
+                        {k: v for k, v in sol.items() if k < n_a and v},
+                        {k - n_a: v for k, v in sol.items() if k >= n_a and v})
+        return None
 
     def all_witnesses(self, q: int, mode: str):
         """Witnesses with (α, β) ≠ 0 from a homogeneous solution basis.
@@ -318,61 +310,57 @@ class _Pipeline:
 
     # -- certificates ---------------------------------------------------------
 
-    def certificate(self, q: int, alpha, beta, a: dict, c: dict,
-                    mode: str) -> FullnessCertificate:
-        SH = self.sh(q)
+    def certificates(self, wits: dict[str, tuple],
+                     mode: str) -> dict[str, FullnessCertificate]:
+        """One certificate per witness (q, α, β, a_k, c_m); the j-condition
+        chains y of all of them come from one solve against the full d₋₁."""
         coeff = self.ops.coeff
-        x_cx: Column = {}
-        for k, coef in a.items():
-            for i, v in SH.reps[k].items():
-                nv = coeff(x_cx.get(i, 0) + coef * v)
-                if nv:
-                    x_cx[i] = nv
-                else:
-                    x_cx.pop(i, None)
-        x = lift_chain(self.dec, 0, x_cx)
-        # j-condition witness: d(y) = x − α·𝔰_𝔬 − β·𝔰_𝔬̄ in the original cube
         cx0 = self.cube.complex
-        target: Column = dict(x)
-        for chain, coef in ((self.s_o_orig, alpha), (self.s_ob_orig, beta)):
-            for i, v in chain.items():
-                target[i] = target.get(i, 0) - coef * v
-        y = self.ops.solve(cx0.columns(-1), target, cx0.dim(0))
+        xs = []
+        for q, _, _, a, _ in wits.values():
+            x_cx = {i: coeff(v) for i, v in apply(self.sh(q).reps, a).items()}
+            xs.append(lift_chain(self.dec, 0, x_cx))
+        # j-condition: d(y) = x − α·𝔰_𝔬 − β·𝔰_𝔬̄ in the original cube
+        ys = self.ops.solve(cx0.columns(-1), [
+            apply([x, self.s_o_orig, self.s_ob_orig], {0: 1, 1: -al, 2: -be})
+            for x, (_, al, be, _, _) in zip(xs, wits.values())], cx0.dim(0))
+        return {name: self.certificate(q, al, be, c, x, y, mode)
+                for (name, (q, al, be, _, c)), x, y
+                in zip(wits.items(), xs, ys)}
+
+    def certificate(self, q: int, alpha, beta, c: dict, x: Column,
+                    y: Column | None, mode: str) -> FullnessCertificate:
         if y is None:
             raise AssertionError(self._failure(
                 "j-condition witness solve failed", q))
-        u = None
-        z = None
+        cx0 = self.cube.complex
+        u = z = None
         if mode != "plain":
             # p-condition: level-q part of x is (Sq¹ u) + graded boundary
             lv0 = cx0.levels[0]
             xq = {i: v for i, v in x.items() if lv0[i] == q}
             if mode == "sq1":
-                u = {}
-                for m in c:
-                    for i in self.theta_data(q)[m][0]:
-                        u[i] = u.get(i, 0) ^ 1
-                u = {i: v for i, v in u.items() if v}
+                sources = [src for src, _ in self.theta_data(q)]
+                u = {i: 1 for i, v in apply(sources, c).items() if v % 2}
                 w = bockstein_chain(self.cube_z.complex, -1, u)
                 for i, v in w.items():
                     xq[i] = xq.get(i, 0) - v
             gcx0, gkeep0 = q_slice(cx0, q)
             gpos = {g: k for k, g in enumerate(gkeep0.get(0, []))}
             xq_loc = {gpos[i]: v for i, v in xq.items()}
-            z_loc = self.ops.solve(gcx0.columns(-1), xq_loc, gcx0.dim(0))
+            z_loc, = self.ops.solve(gcx0.columns(-1), [xq_loc], gcx0.dim(0))
             if z_loc is None:
                 raise AssertionError(self._failure(
                     "p-condition witness solve failed", q))
             back = gkeep0.get(-1, [])
             z = {back[k]: v for k, v in z_loc.items() if v}
-        gid0 = lambda i: self.cube.gen_id(0, i)
-        gidm1 = lambda i: self.cube.gen_id(-1, i)
+        gid = self.cube.gen_id
         return FullnessCertificate(
             q=q, kind=mode, char=self.char, alpha=alpha, beta=beta,
-            x={gid0(i): v for i, v in x.items()},
-            y={gidm1(i): v for i, v in y.items() if v},
-            u={gidm1(i): 1 for i in u} if u is not None else None,
-            z={gidm1(i): v for i, v in z.items()} if z is not None else None,
+            x={gid(0, i): v for i, v in x.items()},
+            y={gid(-1, i): v for i, v in y.items() if v},
+            u={gid(-1, i): 1 for i in u} if u is not None else None,
+            z={gid(-1, i): v for i, v in z.items()} if z is not None else None,
         )
 
     def _failure(self, stage: str, q: int | None) -> str:
@@ -401,11 +389,6 @@ class _Pipeline:
             raise AssertionError(self._failure(
                 "the two s-invariant formulas disagree", q))
         return q - 1
-
-    def half_full_targets(self):
-        if self.char == 2:
-            return [(1, 1)]
-        return [(1, 1), (1, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -441,40 +424,35 @@ def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
     pipe = _Pipeline(d, char, optimized)
     s = pipe.s_value()
     mode = theta.kind
-    certs: dict[str, FullnessCertificate | None] = {}
 
     # r₊ criterion: x ∈ H⁰(C^{≥ s+1}) with j(x) = [𝔰_𝔬] ± [𝔰_𝔬̄], p(x) ∈ im θ
-    r_plus_v = s
-    for alpha, beta in pipe.half_full_targets():
-        sol = pipe.witness(s + 1, alpha, beta, mode)
-        if sol is not None:
-            r_plus_v = s + 2
-            certs["r_plus"] = pipe.certificate(s + 1, alpha, beta, *sol, mode)
-            break
-    if r_plus_v == s:
+    # over 𝔽₂ the two signs are one target
+    targets = [(1, 1)] if char == 2 else [(1, 1), (1, -1)]
+    wit = pipe.witness(s + 1, targets, mode)
+    if wit is not None:
+        r_plus_v, r_wit = s + 2, (s + 1, *wit)
+    else:
         wits = pipe.all_witnesses(s - 1, mode)
         if not wits:
             raise AssertionError(pipe._failure(
                 "s−1 must be θ-half-full by the dichotomy", s - 1))
-        alpha, beta, a, c = wits[0]
-        certs["r_plus"] = pipe.certificate(s - 1, alpha, beta, a, c, mode)
+        r_plus_v, r_wit = s, (s - 1, *wits[0])
 
     # s₊ criterion: x ∈ H⁰(C^{≥ s−1}) with j(x) = [𝔰_𝔬], p(x) ∈ im θ
-    sol = pipe.witness(s - 1, 1, 0, mode)
-    if sol is not None:
-        s_plus_v = s + 2
-        certs["s_plus"] = pipe.certificate(s - 1, 1, 0, *sol, mode)
+    wit = pipe.witness(s - 1, [(1, 0)], mode)
+    if wit is not None:
+        s_plus_v, s_wit = s + 2, (s - 1, *wit)
     else:
-        s_plus_v = s
         if pipe.v_dim(s - 3, mode) != 2:
             raise AssertionError(pipe._failure(
                 "s−3 must be θ-full by the dichotomy", s - 3))
-        sol = pipe.witness(s - 3, 1, 0, mode)
-        if sol is None:
+        wit = pipe.witness(s - 3, [(1, 0)], mode)
+        if wit is None:
             raise AssertionError(pipe._failure(
                 "θ-full level admits no [𝔰_𝔬] witness", s - 3))
-        certs["s_plus"] = pipe.certificate(s - 3, 1, 0, *sol, mode)
+        s_plus_v, s_wit = s, (s - 3, *wit)
 
+    certs = pipe.certificates({"r_plus": r_wit, "s_plus": s_wit}, mode)
     return RefinedSResult(link_id, d.component_count, char, theta,
                           s, r_plus_v, s_plus_v, certs)
 
@@ -530,12 +508,16 @@ def adjunction_bound(s0: int, chi: int, self_intersection: int,
 
 def validate_certificate(d: OrientedLinkDiagram,
                          cert: FullnessCertificate) -> bool:
-    """Re-check a fullness certificate from scratch by chain arithmetic."""
+    """Re-check a fullness certificate from scratch by chain arithmetic;
+    also False when a chain names a generator the cube does not have or
+    puts z off level q."""
     cube = build_complex(d, *_FIELDS[cert.char])
     cx = cube.complex
     is_zero = cx.ops.is_zero
     x = cube.from_gen_ids(0, cert.x)
     y = cube.from_gen_ids(-1, cert.y)
+    if x is None or y is None:
+        return False
     # filtration support and cycle condition for x
     lv0 = cx.levels[0]
     if any(lv0[i] < cert.q for i, v in x.items() if v):
@@ -543,14 +525,9 @@ def validate_certificate(d: OrientedLinkDiagram,
     if not is_zero(apply(cx.columns(0), x)):
         return False
     # j-condition: d(y) = x − α 𝔰_𝔬 − β 𝔰_𝔬̄
-    acc = apply(cx.columns(-1), y)
-    for i, v in x.items():
-        acc[i] = acc.get(i, 0) - v
-    for chain, coef in ((canonical_cycle(cube), cert.alpha),
-                        (canonical_cycle(cube, reverse=True), cert.beta)):
-        for i, v in chain.items():
-            acc[i] = acc.get(i, 0) + coef * v
-    if not is_zero(acc):
+    chains = [apply(cx.columns(-1), y), x, canonical_cycle(cube),
+              canonical_cycle(cube, reverse=True)]
+    if not is_zero(apply(chains, {0: 1, 1: -1, 2: cert.alpha, 3: cert.beta})):
         return False
     if cert.kind == "plain":
         return True
@@ -558,9 +535,9 @@ def validate_certificate(d: OrientedLinkDiagram,
     xq = {i: v for i, v in x.items() if lv0[i] == cert.q}
     if cert.kind == "sq1":
         cube_z = build_complex(d, "khovanov", "Z")
-        u = cube_z.from_gen_ids(-1, cert.u)
+        u = cube_z.from_gen_ids(-1, cert.u or {})
         zlv = cube_z.complex.levels.get(-1, [])
-        if any(zlv[i] != cert.q for i in u):
+        if u is None or any(zlv[i] != cert.q for i in u):
             return False
         # u must be a mod-2 cycle of the graded (Khovanov) complex
         if not linalg.GF2.is_zero(apply(cube_z.complex.columns(-1), u)):
@@ -572,6 +549,8 @@ def validate_certificate(d: OrientedLinkDiagram,
     gpos = {g: k for k, g in enumerate(gkeep.get(0, []))}
     posm1 = {g: k for k, g in enumerate(gkeep.get(-1, []))}
     z = cube.from_gen_ids(-1, cert.z or {})
+    if z is None or any(i not in posm1 for i in z):
+        return False
     acc = apply(gcx.columns(-1), {posm1[i]: v for i, v in z.items()})
     for i, v in xq.items():
         if v and i not in gpos:

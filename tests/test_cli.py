@@ -266,6 +266,47 @@ def test_out_of_range_counts_exit_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def test_lee_compute_eliminates_the_full_d_minus_1_once(monkeypatch,
+                                                       capsys):
+    # [TRIVIAL] the j-condition chains of both certificates come from one
+    # solve against the Lee cube's full d₋₁, whose columns are the
+    # generators of degree −1.
+    import khs.linalg
+    from khs.cube import build_complex
+    from khs.tables import knot_9_42
+
+    n_cols = build_complex(knot_9_42(), "lee", "Q").complex.dim(-1)
+    sizes = []
+    real = khs.linalg.q_solve
+
+    def counted(cols, targets):
+        sizes.append(len(cols))
+        return real(cols, targets)
+
+    monkeypatch.setattr(khs.linalg, "q_solve", counted)
+    code, out, _ = run(capsys, "compute", "--link", "9_42", "--char", "0",
+                       "--theta", "zero", "--format", "json")
+    assert code == 0 and out
+    assert sizes.count(n_cols) == 1
+
+
+def test_import_leaves_hashlib_unloaded():
+    # [TRIVIAL] only the table cache hashes, so `compute` does not pay for
+    # importing hashlib.
+    import os
+    import subprocess
+    import sys
+
+    import khs
+
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(khs.__file__).resolve().parents[1]))
+    probe = "import sys, khs.cli; print('hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_internal_failure_names_stage_degree_level_and_link(monkeypatch,
                                                             capsys):
     # [TRIVIAL] an exit-3 message from the refined pipeline names the

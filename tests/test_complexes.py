@@ -111,8 +111,7 @@ def test_push_then_lift_is_homologous():
         vec = {i: v for i, v in vec.items() if v}
         pushed = push_chain(dec, h, vec)
         back = lift_chain(dec, h, pushed)
-        c1 = class_coords(cx, h, reps, vec)
-        c2 = class_coords(cx, h, reps, back)
+        c1, c2 = class_coords(cx, h, reps, [vec, back])
         assert c1 is not None and c2 is not None and c1 == c2
 
 

@@ -16,7 +16,6 @@ from khs.linalg import (
     integer_homology_summands,
     q_nullspace,
     q_rank,
-    q_row_sub,
     q_solve,
     smith_invariant_factors,
 )
@@ -149,13 +148,25 @@ def test_gf2_solver_incremental():
 
 
 def test_q_echelon_tracks_relations():
-    # [TRIVIAL] the rational twin: (1, 2) + 2·(0, 1) − (1, 4) = 0.
+    # [TRIVIAL] the rational twin, on integer vectors:
+    # (1, 2) + 2·(0, 1) − (1, 4) = 0.
     e = QEchelon()
-    e.add({0: Fraction(1), 1: Fraction(2)}, {0: Fraction(1)})
-    e.add({1: Fraction(1)}, {1: Fraction(1)})
-    rest, comb = e.add({0: Fraction(1), 1: Fraction(4)}, {2: Fraction(1)})
+    e.add({0: 1, 1: 2}, {0: 1})
+    e.add({1: 1}, {1: 1})
+    rest, comb = e.add({0: 1, 1: 4}, {2: 1})
     assert rest == {} and comb == {0: -1, 1: -2, 2: 1}
     assert len(e.pivots) == 2
+
+
+def test_q_echelon_is_fraction_free():
+    # [DERIVED] a reduction by a pivot whose entry is not ±1 keeps
+    # integers: (2, 1) and (3, 0) give the remainder 2·(3, 0) − 3·(2, 1)
+    # = (0, −3), divided by its content with the combination (−3, 2).
+    e = QEchelon()
+    e.add({0: 2, 1: 1}, {0: 1})
+    rest, comb = e.add({0: 3}, {1: 1})
+    assert rest == {1: -3} and comb == {0: -3, 1: 2}
+    assert all(type(v) is int for v in (*rest.values(), *comb.values()))
 
 
 def test_q_rank_and_solve():
@@ -177,8 +188,9 @@ def test_q_rank_and_solve():
 def test_q_solve_consistency():
     # [DERIVED] solution check by substitution; insolvability via rank jump.
     cols = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
-    assert q_solve([dict(c) for c in cols], {0: Fraction(1)}) is None
-    sol = q_solve([dict(c) for c in cols], {0: Fraction(3), 1: Fraction(6)})
+    none, sol = q_solve([dict(c) for c in cols],
+                        [{0: Fraction(1)}, {0: Fraction(3), 1: Fraction(6)}])
+    assert none is None
     assert sol is not None
     acc = {}
     for j, a in sol.items():
@@ -228,12 +240,12 @@ def _q_nullspace_rows(rows, n_cols):
         row = dict(row)
         for pc, pr in pivots:
             if pc in row:
-                row = q_row_sub(row, pr, row[pc] / pr[pc])
+                row = _q_row_sub(row, pr, row[pc] / pr[pc])
         if row:
             pc = min(row)
             for k, (pc2, pr2) in enumerate(pivots):
                 if pc in pr2:
-                    pivots[k] = (pc2, q_row_sub(pr2, row, pr2[pc] / row[pc]))
+                    pivots[k] = (pc2, _q_row_sub(pr2, row, pr2[pc] / row[pc]))
             pivots.append((pc, row))
     pivot_cols = {pc for pc, _ in pivots}
     basis = []
@@ -294,6 +306,124 @@ def test_q_nullspace_is_the_row_reduction_basis():
             for i, v in col.items():
                 rows[i][j] = v
         assert q_nullspace(cols) == _q_nullspace_rows(rows, n_cols)
+
+
+def _q_row_sub(r, s, factor):
+    """Reference: r − factor·s over sparse Fraction dicts."""
+    out = dict(r)
+    for j, v in s.items():
+        nv = out.get(j, Fraction(0)) - factor * v
+        if nv:
+            out[j] = nv
+        else:
+            out.pop(j, None)
+    return out
+
+
+class _FractionEchelon:
+    """Reference: the echelon in Fraction arithmetic, pivoting on a
+    vector's lowest index, that the fraction-free QEchelon must match."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def reduce(self, vec, comb=None):
+        while vec:
+            b = min(vec)
+            piv = self.pivots.get(b)
+            if piv is None:
+                break
+            f = vec[b] / piv[0][b]
+            vec = _q_row_sub(vec, piv[0], f)
+            if comb is not None:
+                comb = _q_row_sub(comb, piv[1], f)
+        return vec, comb
+
+    def add(self, vec, comb=None):
+        vec, comb = self.reduce(vec, comb)
+        if vec:
+            self.pivots[min(vec)] = (vec, comb)
+        return vec, comb
+
+
+def _fractions(vec):
+    return {k: Fraction(v) for k, v in vec.items() if v}
+
+
+def _ref_rank(vecs):
+    ech = _FractionEchelon()
+    for v in vecs:
+        ech.add(_fractions(v))
+    return len(ech.pivots)
+
+
+def _ref_nullspace(cols):
+    ech = _FractionEchelon()
+    basis = []
+    for j, col in enumerate(cols):
+        rest, comb = ech.add(_fractions(col), {j: Fraction(1)})
+        if not rest:
+            basis.append(comb)
+    return basis
+
+
+def _ref_solve(cols, target):
+    ech = _FractionEchelon()
+    for j, col in enumerate(cols):
+        ech.add(_fractions(col), {j: Fraction(1)})
+    rest, comb = ech.reduce(_fractions(target), {})
+    return None if rest else {k: -v for k, v in comb.items()}
+
+
+def _random_rational(rng):
+    v = rng.choice((0, 0, 0, -3, -2, -1, 1, 1, 2, 5))
+    d = rng.choice((1, 1, 2, 3, 6))
+    return v if d == 1 else Fraction(v, d)  # ints and Fractions mixed
+
+
+def test_q_kernels_match_the_fraction_reference():
+    # [DERIVED] rank, nullspace and many-target solve over seeded systems
+    # with denominators, zero and dependent columns, empty shapes, explicit
+    # zero entries, and targets in and out of the column span: equal to
+    # the Fraction elimination, solution by solution.
+    rng = random.Random(8)
+    outcomes = []
+    for trial in range(300):
+        n_rows, n_cols = rng.randint(0, 9), rng.randint(0, 9)
+        cols = [{i: v for i in range(n_rows)
+                 if (v := _random_rational(rng)) or rng.random() < 0.1}
+                for _ in range(n_cols)]
+        if trial % 2:
+            cols = _degenerate(
+                rng, cols, {},
+                lambda a, b: {i: a.get(i, 0) - Fraction(3, 2) * b.get(i, 0)
+                              for i in a.keys() | b.keys()})
+        rows = [{j: c[i] for j, c in enumerate(cols) if i in c}
+                for i in range(n_rows)]
+        assert q_rank(cols) == _ref_rank(cols) == q_rank(rows)
+        assert q_rank(cols) == _ref_rank(rows)
+        assert q_nullspace(cols) == _ref_nullspace(cols)
+        targets = [{i: _random_rational(rng) for i in range(n_rows)}, {}]
+        for _ in range(rng.randint(0, 3)):
+            picked = {}
+            for j in range(n_cols):
+                f = _random_rational(rng)
+                for i, v in cols[j].items():
+                    picked[i] = picked.get(i, 0) + f * v
+            targets.append(picked)
+        sols = q_solve(cols, targets)
+        assert sols == [_ref_solve(cols, t) for t in targets]
+        assert sols[1] == {}  # the zero target
+        outcomes.extend(sol is None for sol in sols)
+        for target, sol in zip(targets, sols):
+            if sol is not None:
+                acc = {}
+                for j, a in sol.items():
+                    for i, v in cols[j].items():
+                        acc[i] = acc.get(i, 0) + a * v
+                assert _fractions(acc) == _fractions(target)
+    assert 100 < sum(outcomes) < len(outcomes) - 100  # both kinds, often
+    assert q_solve([], []) == [] and q_solve([{}, {}], [{}]) == [{}]
 
 
 def test_smith_invariant_factors():

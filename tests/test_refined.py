@@ -1,8 +1,11 @@
 """Refined s-invariants: classical s, r_plus, s_plus, certificates."""
 
+import copy
+
 import pytest
 
 from khs.bockstein import sq1
+from khs.cube import build_complex
 from khs.linalg import GF2
 from khs.links import (
     TorusLinkSpec,
@@ -171,6 +174,40 @@ def test_tampered_certificate_rejected():
     gid, val = next(iter(bad.x.items()))
     bad.x[gid] = val + 1  # no longer the right chain
     assert not validate_certificate(d, bad)
+
+
+@pytest.fixture(scope="module")
+def s_plus_942():
+    d = knot_9_42()
+    return d, refined_invariants(d, SQ1).certificates["s_plus"]
+
+
+def _off_level(d, cert):
+    cube = build_complex(d, "bar_natan", "gf2")
+    lv = cube.complex.levels[-1]
+    return cube.gen_id(-1, next(k for k, l in enumerate(lv) if l != cert.q))
+
+
+@pytest.mark.parametrize("field, gid", [
+    (None, None),
+    ("x", "v-:zz"),
+    ("x", "garbage"),
+    ("y", "v0101:1x"),
+    ("y", "v0_01:1x"),
+    ("u", "v-:1"),
+    ("z", "v111111111:"),
+    ("z", _off_level),
+])
+def test_validator_answers_false_on_foreign_certificates(s_plus_942, field,
+                                                         gid):
+    # [TRIVIAL] an unknown or malformed generator id in x, y, u or z, or a
+    # z entry off level q, makes the certificate invalid, not the validator
+    # raise; the untouched 9₄₂ certificate stays valid.
+    d, cert = s_plus_942
+    bad = copy.deepcopy(cert)
+    if field is not None:
+        getattr(bad, field)[gid(d, cert) if callable(gid) else gid] = 1
+    assert validate_certificate(d, bad) is (field is None)
 
 
 # ---------------------------------------------------------------------------
