@@ -10,6 +10,8 @@ or Fractions and read through that ring's object in :data:`linalg.RINGS`.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -131,35 +133,46 @@ def restrict(cx: FilteredComplex,
         if not sel:
             continue
         levels[h] = [cx.levels[h][i] for i in sel]
-        cols = []
         allcols = cx.columns(h)
         tgt = pos.get(h + 1, {})
-        for j in sel:
-            col = {}
-            for i, v in allcols[j].items():
-                if i in tgt:
-                    col[tgt[i]] = v
-            cols.append(col)
-        diff[h] = cols
+        diff[h] = [{tgt[i]: v for i, v in allcols[j].items() if i in tgt}
+                   for j in sel]
     return FilteredComplex(cx.ring, levels, diff)
 
 
-def level_indices(cx: FilteredComplex, pred) -> dict[int, list[int]]:
-    return {h: [i for i, l in enumerate(cx.levels[h]) if pred(l)]
-            for h in cx.degrees()}
-
-
-def q_slice(cx: FilteredComplex, q: int) -> tuple[FilteredComplex, dict]:
+def q_slice(cx: FilteredComplex, q: int,
+            degrees: tuple[int, ...] | None = None
+            ) -> tuple[FilteredComplex, dict]:
     """Associated-graded complex gr_q at level q: the level-q generators
     and the (level-preserving) entries between them, with their index
-    lists.  When d preserves levels it is the level-q direct summand."""
-    keep = level_indices(cx, lambda l: l == q)
+    lists.  When d preserves levels it is the level-q direct summand.
+    ``degrees`` limits the slice to those degrees (default: all)."""
+    keep = {h: [i for i, l in enumerate(cx.levels.get(h, ())) if l == q]
+            for h in (cx.degrees() if degrees is None else degrees)}
     return restrict(cx, keep), keep
+
+
+def q_slices(
+        cx: FilteredComplex) -> Iterator[tuple[int, FilteredComplex, dict]]:
+    """Every :func:`q_slice` of ``cx`` in increasing q, as (q, gr_q, keep).
+
+    One pass over the levels finds the index lists of all levels; each
+    slice is built only when the iteration reaches it.
+    """
+    degs = cx.degrees()
+    keeps = defaultdict(lambda: {h: [] for h in degs})
+    for h in degs:
+        for i, l in enumerate(cx.levels[h]):
+            keeps[l][h].append(i)
+    for q in sorted(keeps):
+        keep = keeps.pop(q)
+        yield q, restrict(cx, keep), keep
 
 
 def sublevel(cx: FilteredComplex, q: int) -> tuple[FilteredComplex, dict]:
     """Subcomplex of generators with level >= q."""
-    keep = level_indices(cx, lambda l: l >= q)
+    keep = {h: [i for i, l in enumerate(cx.levels[h]) if l >= q]
+            for h in cx.degrees()}
     return restrict(cx, keep), keep
 
 
@@ -277,122 +290,116 @@ def filtered_reduce(cx: FilteredComplex) -> DecomposedComplex:
     are taken in (degree, source index, target index) order, then the
     level-preserving entries that cancellations create in the order they
     appear, so the output is deterministic.
+
+    Each step keeps the other targets of the cancelled source and the other
+    sources of its target as compact copies, built entry by entry.  By then
+    the working lines have grown and shrunk, and keeping them whole would
+    keep their larger tables: on the T(4,4)₂,₂ Bar-Natan cube the steps
+    would hold 60 instead of 38 MB (tracemalloc), and a ``compute`` op's
+    peak RSS would go 126 → 149 MB.  To keep the peak down, the entries
+    still to visit are not one tuple each either: the initial ones are a
+    sorted tuple of targets per source, the created ones a flat list of
+    (h, j, i) ints.
     """
     ops = cx.ops
-    coeff, unit = ops.coeff, ops.is_unit
+    gf2, unit, inv = ops.name == "gf2", ops.is_unit, ops.inv
     levels = cx.levels
-    # mutable sparse structure: out_[h][j] = {i: coeff}, in_[h+1][i] = {j: coeff}
-    out_: dict[int, dict[int, Column]] = {}
-    in_: dict[int, dict[int, Column]] = {}
-    alive: dict[int, list[bool]] = {h: [True] * cx.dim(h) for h in cx.degrees()}
-    for h in cx.degrees():
-        out_.setdefault(h, {})
-        in_.setdefault(h, {})
+    degs = cx.degrees()
+    # mutable sparse structure per degree h: out_[h][j] = {i: coeff} for j in
+    # C^h, in_[h][i] = {j: coeff} for i in C^h; a cancelled generator's
+    # column and row are None, other lines stay even when they empty
+    out_: dict[int, list] = {}
+    in_: dict[int, list] = {h: [{} for _ in levels[h]] for h in degs}
+    first: dict[int, list[tuple]] = {}  # per source: its jump-0 targets
+    for h in degs:
+        out_[h], first[h] = out_h, first_h = [], []
+        lv, lv1, in_h1 = levels[h], levels.get(h + 1), in_.get(h + 1)
         for j, col in enumerate(cx.columns(h)):
-            col = {i: v for i, v in col.items() if coeff(v)}
-            if col:
-                out_[h][j] = col
-                for i, v in col.items():
-                    in_.setdefault(h + 1, {}).setdefault(i, {})[j] = v
+            col = {i: v for i, v in col.items() if (v % 2 if gf2 else v)}
+            out_h.append(col)
+            for i, v in col.items():
+                in_h1[i][j] = v
+            lvj = lv[j]
+            first_h.append(tuple(sorted(i for i in col if lv1[i] == lvj)))
+    created: list[int] = []
+
+    def queue():
+        for h in degs:
+            for j, targets in enumerate(first[h]):
+                for i in targets:
+                    yield h, j, i
+        # ``created`` grows while it is read
+        it = iter(created)
+        for h in it:
+            yield h, next(it), next(it)
 
     pairs: list[tuple[int, int, int]] = []
     steps: list[tuple] = []
-    queue = []
-    for h, out_h in out_.items():
-        lv, lv1 = levels[h], levels.get(h + 1)
-        queue.extend((h, j, i) for j, col in out_h.items()
-                     for i in col if lv1[i] == lv[j])
-    queue.sort()
-    # The loop also visits the entries appended to ``queue`` as it runs.  A
-    # cancelled generator keeps no entries, so a queued entry that lost an
-    # end reads as absent here, and every changed entry is live.
-    for h, j0, i0 in queue:
-        v = out_[h].get(j0, {}).get(i0)
-        if v is None or not unit(v):
+    extend = created.extend
+    # A cancelled generator keeps no entries, so a queued entry that lost an
+    # end reads as absent here, and every created entry is live.
+    for h, j0, i0 in queue():
+        out_h = out_[h]
+        col = out_h[j0]
+        if col is None or i0 not in col:
             continue
-        changed = _cancel(ops, out_, in_, h, j0, i0, steps)
-        lv, lv1 = levels[h], levels[h + 1]
+        pivot = col[i0]
+        if not gf2 and not unit(pivot):
+            continue
+        # Gaussian cancellation of d[i0, j0]: take out the column of j0 and
+        # the row of i0 whole, then for every other source j with entry a at
+        # i0 subtract a / pivot times column j0 from column j.  Column j
+        # keeps its entry at i0 and row i its entry from j0 until the mirror
+        # deletions below, so no line empties during the update.
+        in_h1, lv, lv1 = in_[h + 1], levels[h], levels[h + 1]
+        row = in_h1[i0]
+        out_h[j0] = in_h1[i0] = None
+        col_j0 = {i: v for i, v in col.items() if i != i0}
+        row_i0 = {j: v for j, v in row.items() if j != j0}
+        steps.append((h, j0, i0, pivot, col_j0, row_i0))
         pairs.append((h, lv[j0], lv1[i0]))
-        alive[h][j0] = False
-        alive[h + 1][i0] = False
-        queue.extend((h, j, i) for (j, i) in changed if lv1[i] == lv[j])
-    survivors = {h: [j for j, a in enumerate(alive[h]) if a]
-                 for h in alive}
-    new_levels = {h: [levels[h][j] for j in survivors[h]]
-                  for h in survivors if survivors[h]}
-    index_of = {h: {j: k for k, j in enumerate(survivors[h])} for h in survivors}
-    new_diff: dict[int, list[Column]] = {}
-    for h in sorted(new_levels):
-        cols = []
-        for j in survivors[h]:
-            col = out_.get(h, {}).get(j, {})
-            cols.append({index_of[h + 1][i]: v for i, v in col.items()})
-        new_diff[h] = cols
-    reduced = FilteredComplex(cx.ring, new_levels, new_diff)
-    return DecomposedComplex(reduced, pairs, survivors, steps)
-
-
-def _cancel(ops, out_, in_, h, j0, i0, steps) -> list[tuple[int, int]]:
-    """Gaussian cancellation of the entry d[i0, j0] out of degree h.
-
-    Returns the degree-h entries (j, i) that changed to a nonzero value.
-    Such an entry is appended to its column and row dicts, or updated in
-    place; an entry that becomes zero is deleted, and emptied columns and
-    rows are dropped.
-    """
-    out_h, in_h1 = out_[h], in_[h + 1]
-    pivot = out_h[j0][i0]
-    # other targets of j0, other sources mapping to i0
-    col_j0 = {i: v for i, v in out_h[j0].items() if i != i0}
-    row_i0 = {j: v for j, v in in_h1[i0].items() if j != j0}
-    steps.append((h, j0, i0, pivot, col_j0, row_i0))
-    # for every other source j with entry a at i0, subtract a / pivot times
-    # column j0 from column j.  Column j keeps its entry at i0 and row i
-    # keeps its entry from j0 throughout, so neither empties here.
-    changed = []
-    if ops.name == "gf2":  # every stored entry is odd: the update toggles
+        if gf2:  # every stored entry is odd: the update toggles
+            for j in row_i0:
+                out_j, lvj = out_h[j], lv[j]
+                for i in col_j0:
+                    if i in out_j:
+                        del out_j[i], in_h1[i][j]
+                    else:
+                        out_j[i] = in_h1[i][j] = 1
+                        if lv1[i] == lvj:
+                            extend((h, j, i))
+        else:
+            inv_p = inv(pivot)
+            for j, a in row_i0.items():
+                coef = a * inv_p
+                out_j, lvj = out_h[j], lv[j]
+                for i, b in col_j0.items():
+                    nv = out_j.get(i, 0) - coef * b
+                    if nv:
+                        out_j[i] = in_h1[i][j] = nv
+                        if lv1[i] == lvj:
+                            extend((h, j, i))
+                    elif i in out_j:
+                        del out_j[i], in_h1[i][j]
+        # the mirror entries of the pair, then the column of i0 out of
+        # degree h+1 and the row of j0 into degree h
         for j in row_i0:
-            out_j = out_h[j]
-            for i in col_j0:
-                if i in out_j:
-                    del out_j[i]
-                    del in_h1[i][j]
-                else:
-                    out_j[i] = 1
-                    in_h1[i][j] = 1
-                    changed.append((j, i))
-    else:
-        inv = ops.inv(pivot)
-        for j, a in row_i0.items():
-            coef = a * inv
-            out_j = out_h[j]
-            for i, b in col_j0.items():
-                nv = out_j.get(i, 0) - coef * b
-                if nv:
-                    out_j[i] = nv
-                    in_h1[i][j] = nv
-                    changed.append((j, i))
-                elif i in out_j:
-                    del out_j[i]
-                    del in_h1[i][j]
-    # remove the pair: column j0 and row i0 out of degree h, column i0 out
-    # of degree h+1, row j0 into degree h
-    _drop_line(out_h, in_h1, j0)
-    _drop_line(in_h1, out_h, i0)
-    _drop_line(out_.get(h + 1, {}), in_.get(h + 2, {}), i0)
-    _drop_line(in_.get(h, {}), out_.get(h - 1, {}), j0)
-    return changed
-
-
-def _drop_line(lines: dict[int, Column], cross: dict[int, Column],
-               a: int) -> None:
-    """Remove line ``a`` of ``lines`` and its mirror entries in ``cross``,
-    dropping the ``cross`` lines that empty."""
-    for b in lines.pop(a, ()):
-        line = cross[b]
-        del line[a]
-        if not line:
-            del cross[b]
+            del out_h[j][i0]
+        for i in col_j0:
+            del in_h1[i][j0]
+        out_h1 = out_[h + 1]
+        for i in out_h1[i0]:
+            del in_[h + 2][i][i0]
+        out_h1[i0] = None
+        if h - 1 in out_:
+            out_m1, in_h = out_[h - 1], in_[h]
+            for j in in_h[j0]:
+                del out_m1[j][j0]
+            in_h[j0] = None
+    survivors = {h: [j for j, col in enumerate(out_[h]) if col is not None]
+                 for h in degs}
+    reduced = restrict(FilteredComplex(cx.ring, levels, out_), survivors)
+    return DecomposedComplex(reduced, pairs, survivors, steps)
 
 
 def push_chain(dec: DecomposedComplex, h: int, vec: Column) -> Column:

@@ -242,15 +242,13 @@ def khovanov_homology(d: OrientedLinkDiagram, ring: str = "Z",
     running the per-slice rank / Smith normal form computations; the naive
     path (``optimized=False``, the oracle) cancels nothing.
     """
-    from .complexes import filtered_reduce, q_slice, unreduced
+    from .complexes import filtered_reduce, q_slices, unreduced
 
     reduce = filtered_reduce if optimized else unreduced
     cube = build_complex(d, "khovanov", ring)
     entries: dict[tuple[int, int], tuple[int, list[int]]] = {}
-    qs = sorted({q for h in cube.complex.degrees()
-                 for q in cube.complex.levels[h]})
-    for q in qs:
-        sl = reduce(q_slice(cube.complex, q)[0]).reduced
+    for q, sl, _ in q_slices(cube.complex):
+        sl = reduce(sl).reduced  # frees the slice before the next is built
         if ring == "Z":
             for h, (free, tors) in sl.homology_integral().items():
                 if free or tors:

@@ -345,7 +345,7 @@ class _Pipeline:
                 w = bockstein_chain(self.cube_z.complex, -1, u)
                 for i, v in w.items():
                     xq[i] = xq.get(i, 0) - v
-            gcx0, gkeep0 = q_slice(cx0, q)
+            gcx0, gkeep0 = q_slice(cx0, q, (-1, 0))
             gpos = {g: k for k, g in enumerate(gkeep0.get(0, []))}
             xq_loc = {gpos[i]: v for i, v in xq.items()}
             z_loc, = self.ops.solve(gcx0.columns(-1), [xq_loc], gcx0.dim(0))
@@ -508,9 +508,22 @@ def adjunction_bound(s0: int, chi: int, self_intersection: int,
 
 def validate_certificate(d: OrientedLinkDiagram,
                          cert: FullnessCertificate) -> bool:
-    """Re-check a fullness certificate from scratch by chain arithmetic;
-    also False when a chain names a generator the cube does not have or
-    puts z off level q."""
+    """Re-check a fullness certificate from scratch by chain arithmetic.
+
+    Also False for a characteristic other than 0 or 2, an unknown kind, a
+    level q that is not an int, a chain that is not a dict of generator
+    ids, a coefficient that is not an int (over 𝔽₂) or an int or Fraction
+    (over ℚ), a generator the cube does not have, or z off level q.
+    """
+    chains = (cert.x, cert.y, cert.u or {}, cert.z or {})
+    types = int if cert.char == 2 else (int, Fraction)
+    if (cert.char not in (0, 2) or cert.kind not in ("plain", "zero", "sq1")
+            or not isinstance(cert.q, int)
+            or not all(isinstance(c, dict) for c in chains)
+            or not all(isinstance(k, str) and isinstance(v, types)
+                       for c in chains for k, v in c.items())
+            or not all(isinstance(v, types) for v in (cert.alpha, cert.beta))):
+        return False
     cube = build_complex(d, *_FIELDS[cert.char])
     cx = cube.complex
     is_zero = cx.ops.is_zero
@@ -545,7 +558,7 @@ def validate_certificate(d: OrientedLinkDiagram,
         w = bockstein_chain(cube_z.complex, -1, u)
         for i, v in w.items():
             xq[i] = xq.get(i, 0) - v
-    gcx, gkeep = q_slice(cx, cert.q)
+    gcx, gkeep = q_slice(cx, cert.q, (-1, 0))
     gpos = {g: k for k, g in enumerate(gkeep.get(0, []))}
     posm1 = {g: k for k, g in enumerate(gkeep.get(-1, []))}
     z = cube.from_gen_ids(-1, cert.z or {})

@@ -210,6 +210,56 @@ def test_validator_answers_false_on_foreign_certificates(s_plus_942, field,
     assert validate_certificate(d, bad) is (field is None)
 
 
+def _on_level(d, cert):
+    cube = build_complex(d, "bar_natan", "gf2")
+    return cube.gen_id(-1, cube.complex.levels[-1].index(cert.q))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("char", 3),
+    ("kind", "weird"),
+    ("q", "1"),
+    ("alpha", "1"),
+    ("alpha", 1.0),
+    ("beta", "0"),
+    ("x", None),
+    ("u", 5),
+    ("z", {7: 1}),
+])
+def test_validator_answers_false_on_malformed_fields(s_plus_942, field,
+                                                     value):
+    # [TRIVIAL] a characteristic other than 0 or 2, a kind other than
+    # plain/zero/sq1, a non-int level, a chain that is not a dict of ids, or
+    # an α or β that is not a ring element makes the certificate invalid;
+    # the validator neither raises nor checks an unknown kind as another.
+    d, cert = s_plus_942
+    bad = copy.deepcopy(cert)
+    setattr(bad, field, value)
+    assert validate_certificate(d, bad) is False
+
+
+@pytest.mark.parametrize("field", ["x", "y", "u", "z"])
+def test_validator_answers_false_on_a_string_coefficient(s_plus_942, field):
+    # [TRIVIAL] as above for a chain coefficient "1"; an empty chain gets
+    # it on a level-q generator of degree −1.
+    d, cert = s_plus_942
+    bad = copy.deepcopy(cert)
+    chain = getattr(bad, field)
+    chain[next(iter(chain)) if chain else _on_level(d, cert)] = "1"
+    assert validate_certificate(d, bad) is False
+
+
+def test_validator_answers_false_on_a_string_rational_coefficient():
+    # [TRIVIAL] the same over ℚ: a trefoil s_plus certificate whose x
+    # carries the string "1" is invalid.
+    d = trefoil()
+    cert = refined_invariants(d, ZERO, char=0).certificates["s_plus"]
+    assert validate_certificate(d, cert)
+    bad = copy.deepcopy(cert)
+    bad.x[next(iter(bad.x))] = "1"
+    assert validate_certificate(d, bad) is False
+
+
 # ---------------------------------------------------------------------------
 # fullness probes
 # ---------------------------------------------------------------------------
