@@ -50,7 +50,7 @@ class FilteredComplex:
 
     def _int_matrix(self, h: int) -> list[list[int]]:
         """Dense transpose of d_h: one list per generator of C^h, indexed
-        by C^{h+1} (rank and invariant factors do not see the transpose)."""
+        by C^{h+1} (rank and diagonal forms do not see the transpose)."""
         n = self.dim(h + 1)
         mat = []
         for col in self.columns(h):

@@ -221,12 +221,6 @@ class HomologyTable:
     ring: str
     entries: dict[tuple[int, int], tuple[int, list[int]]]
 
-    def rank(self, h: int, q: int) -> int:
-        return self.entries.get((h, q), (0, []))[0]
-
-    def torsion(self, h: int, q: int) -> list[int]:
-        return self.entries.get((h, q), (0, []))[1]
-
     def graded_euler(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for (h, q), (rank, _) in self.entries.items():
@@ -239,7 +233,7 @@ def khovanov_homology(d: OrientedLinkDiagram, ring: str = "Z",
     """Khovanov homology split by exact q-grading.
 
     ``optimized`` cancels ±1 pivots (a chain homotopy equivalence) before
-    running the per-slice rank / Smith normal form computations; the naive
+    running the per-slice rank / diagonal form computations; the naive
     path (``optimized=False``, the oracle) cancels nothing.
     """
     from .complexes import filtered_reduce, q_slices, unreduced
@@ -250,9 +244,8 @@ def khovanov_homology(d: OrientedLinkDiagram, ring: str = "Z",
     for q, sl, _ in q_slices(cube.complex):
         sl = reduce(sl).reduced  # frees the slice before the next is built
         if ring == "Z":
-            for h, (free, tors) in sl.homology_integral().items():
-                if free or tors:
-                    entries[(h, q)] = (free, tors)
+            for h, summands in sl.homology_integral().items():
+                entries[(h, q)] = summands
         else:
             for h, b in sl.homology_field().items():
                 entries[(h, q)] = (b, [])

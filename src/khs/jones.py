@@ -99,23 +99,3 @@ def determinant(d: OrientedLinkDiagram) -> int:
         raise ValueError("evaluation at q=i is not purely real or imaginary")
     return abs(re) + abs(im)
 
-
-def lp_str(p: Laurent, var: str = "q") -> str:
-    if not p:
-        return "0"
-    parts = []
-    for e in sorted(p, reverse=True):
-        c = p[e]
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            pw = var if e == 1 else f"{var}^{e}"
-            body = pw if mag == 1 else f"{mag}*{pw}"
-        parts.append((sign, body))
-    s0, b0 = parts[0]
-    out = ("-" if s0 == "-" else "") + b0
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out

@@ -14,7 +14,8 @@ these:
   elimination;
 * ``gf2_solve`` takes the rows and transposes them back into columns.
 
-Integer matrices for Smith normal form are dense lists of lists of ints.
+Integer matrices, reduced to a diagonal form, are dense lists of lists of
+ints.
 
 :data:`RINGS` puts one coefficient-ring object in front of these kernels
 for the chain-level code, which stores sparse ``{row: coeff}`` columns.
@@ -228,101 +229,42 @@ def q_solve(cols: list[dict], targets: list[dict]) -> list[QRow | None]:
 
 
 # ---------------------------------------------------------------------------
-# Integers: Smith normal form invariant factors
+# Integers: a diagonal form
 # ---------------------------------------------------------------------------
 
 
-def smith_invariant_factors(mat: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors d1 | d2 | ... of an integer matrix."""
-    m = [row[:] for row in mat]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    factors: list[int] = []
-    top = 0
-    while True:
-        # find a nonzero entry of minimal absolute value in m[top:, top:]
-        best = None
-        for i in range(top, n_rows):
-            row = m[i]
-            for j in range(top, n_cols):
-                v = row[j]
-                if v:
-                    if best is None or abs(v) < abs(best[2]):
-                        best = (i, j, v)
-                        if abs(v) == 1:
-                            break
-            if best is not None and abs(best[2]) == 1:
-                break
-        if best is None:
-            break
-        bi, bj, _ = best
-        m[top], m[bi] = m[bi], m[top]
-        if bj != top:
-            for row in m:
-                row[top], row[bj] = row[bj], row[top]
-        clean = False
-        while not clean:
-            clean = True
-            piv = m[top][top]
-            # clear column
-            for i in range(top + 1, n_rows):
-                v = m[i][top]
-                if v:
-                    qt = _nearest_div(v, piv)
-                    if qt:
-                        ri, rt = m[i], m[top]
-                        for j in range(top, n_cols):
-                            ri[j] -= qt * rt[j]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        clean = False
-                        break
-            if not clean:
-                continue
-            piv = m[top][top]
-            # clear row
-            for j in range(top + 1, n_cols):
-                v = m[top][j]
-                if v:
-                    qt = _nearest_div(v, piv)
-                    if qt:
-                        for row in m:
-                            row[j] -= qt * row[top]
-                    if m[top][j]:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        clean = False
-                        break
-        piv = abs(m[top][top])
-        # enforce divisibility against the rest of the block
-        stray = None
-        for i in range(top + 1, n_rows):
-            for j in range(top + 1, n_cols):
-                if m[i][j] % piv:
-                    stray = i
-                    break
-            if stray is not None:
-                break
-        if stray is not None:
-            rt = m[top]
-            rs = m[stray]
-            for j in range(top, n_cols):
-                rt[j] += rs[j]
-            continue
-        factors.append(piv)
-        top += 1
-        if top >= n_rows or top >= n_cols:
-            break
-    return factors
+def diagonal_form(mat: list[list[int]]) -> list[int]:
+    """Absolute values of the nonzero entries of a diagonal form of an
+    integer matrix, given by its rows or its columns.
 
-
-def _nearest_div(v: int, piv: int) -> int:
-    # Python's remainder has the divisor's sign, so shrinking |r| below
-    # |piv|/2 always means bumping the quotient by one.
-    q, r = divmod(v, piv)
-    if 2 * abs(r) > abs(piv):
-        q += 1
-    return q
+    Each step pivots on a nonzero entry p of least absolute value and
+    subtracts nearest-quotient multiples of p's row and column from the
+    others.  A nonzero remainder is at most |p|/2 and becomes the next
+    pivot; once p's row and column are otherwise zero, |p| is recorded and
+    both are deleted.  So the number of entries is the rank, and their
+    prime-power parts are those of the Smith invariant factors.  Rows are
+    replaced, never changed in place, so ``mat`` is left as it was.
+    """
+    m, diag = mat, []
+    while m := [row for row in m if any(row)]:
+        mins = [min(map(abs, filter(None, row))) for row in m]
+        a = min(mins)
+        i = mins.index(a)
+        if a not in m[i]:
+            m[i] = [-x for x in m[i]]
+        prow, j, h = m[i], m[i].index(a), a // 2
+        for k, row in enumerate(m):
+            if k != i and (qt := (row[j] + h) // a):
+                m[k] = [x - qt * y for x, y in zip(row, prow)]
+        qts = [(x + h) // a for x in prow]
+        qts[j] = 0
+        m = [[x - qt * row[j] for x, qt in zip(row, qts)] if row[j] else row
+             for row in m]
+        if sum(map(bool, m[i])) == sum(bool(row[j]) for row in m) == 1:
+            diag.append(a)
+            del m[i]
+            m = [row[:j] + row[j + 1:] for row in m]
+    return diag
 
 
 def int_rank(mat: list[list[int]]) -> int:
@@ -351,22 +293,17 @@ def integer_homology_summands(d_in: list[list[int]], rank_out: int,
     """Homology at a free abelian group of rank ``dim``.
 
     ``d_in`` is the dense matrix of the incoming boundary map (its image
-    lies in the middle group) or its transpose, which has the same
-    invariant factors; ``rank_out`` is the rank of the outgoing boundary
-    map.
+    lies in the middle group) or its transpose, which has the same diagonal
+    forms; ``rank_out`` is the rank of the outgoing boundary map.
     Since im(d_in) is contained in ker(d_out) and the torsion of the
     quotient C/im(d_in) already lies in ker(d_out), the torsion of the
     homology equals the torsion of coker(d_in).
 
     Returns (free rank, sorted prime-power torsion orders).
     """
-    factors = smith_invariant_factors(d_in)
-    free = dim - len(factors) - rank_out
-    torsion: list[int] = []
-    for f in factors:
-        if f > 1:
-            torsion.extend(_prime_power_parts(f))
-    return free, sorted(torsion)
+    diag = diagonal_form(d_in)
+    torsion = [pk for d in diag for pk in _prime_power_parts(d)]
+    return dim - len(diag) - rank_out, sorted(torsion)
 
 
 # ---------------------------------------------------------------------------

@@ -49,13 +49,13 @@ def builtin_diagram(name: str) -> OrientedLinkDiagram:
         return unknot()
     if key == "trefoil":
         return trefoil()
-    if key in ("trefoil_mirror", "trefoil_m"):
+    if key == "trefoil_mirror":
         return trefoil().mirror()
     if key == "hopf":
         return hopf_link()
     if key == "hopf_neg":
         return hopf_link().mirror()
-    if key in ("9_42", "9-42", "942"):
+    if key == "9_42":
         return knot_9_42()
     if key.startswith("torus:"):
         parts = key.split(":")

@@ -21,7 +21,7 @@ def test_sq1_rank_equals_two_torsion():
     # [DERIVED] rank of the Bockstein into degree (i, q) equals the number
     # of Z/2 summands of the integral homology there (the Bockstein of
     # 0 → Z/2 → Z/4 → Z/2 → 0 misses Z/4, Z/8, ...), cross-checked via
-    # Smith normal form.
+    # the integer diagonal form.
     for d in (trefoil(), trefoil().mirror(), hopf_link(),
               torus_link(TorusLinkSpec(3, 1)), knot_9_42()):
         expect = _two_torsion_count(khovanov_homology(d, "Z", optimized=True))

@@ -158,6 +158,33 @@ def test_table_json_without_cache(monkeypatch, capsys):
     assert [r["name"] for r in rows] == ["torus:2:0", "torus:2:1"]
 
 
+def test_table_pd_file_names_rows_by_line(tmp_path, monkeypatch, capsys):
+    # [TRIVIAL] comment and blank lines are skipped but still counted, so
+    # each row is named after its own line of the file.
+    from khs.links import hopf_link, serialize_pd, trefoil
+    monkeypatch.delenv("KHS_CACHE_DIR", raising=False)
+    pd_file = tmp_path / "links.pd"
+    pd_file.write_text(f"# trefoil, then the Hopf link\n"
+                       f"{serialize_pd(trefoil())}\n\n"
+                       f"{serialize_pd(hopf_link())}\n")
+    code, out, _ = run(capsys, "table", "--pd-file", str(pd_file),
+                       "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["name"], r["s"]) for r in rows] == [("line2", 2), ("line4", 1)]
+
+
+def test_table_threads_print_the_same(monkeypatch, capsys):
+    # [DERIVED] rows computed by 2 worker processes print exactly what one
+    # process prints, in the same order.
+    monkeypatch.delenv("KHS_CACHE_DIR", raising=False)
+    args = ("table", "--family", "torus", "--max-n", "3")
+    code1, out1, _ = run(capsys, *args, "--threads", "1")
+    code2, out2, _ = run(capsys, *args, "--threads", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2 and out1.count("\n") == 5
+
+
 def test_exit_code_constants():
     # [TRIVIAL] documented contract.
     assert EXIT_PARSE == 2 and EXIT_VERIFY == 4

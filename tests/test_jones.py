@@ -1,6 +1,6 @@
 """Jones polynomial and determinant oracles (state-sum, no homology)."""
 
-from khs.jones import determinant, jones_polynomial, lp_str
+from khs.jones import determinant, jones_polynomial
 from khs.links import (
     TorusLinkSpec,
     empty_link,
@@ -36,9 +36,7 @@ def test_9_42_jones_and_det():
     # V = t^-3 - t^-2 + t^-1 - 1 + t - t^2 + t^3.
     d = knot_9_42()
     assert determinant(d) == 7
-    j = jones_polynomial(d)
-    expect = {7: 1, -7: 1}
-    assert j == expect, lp_str(j)
+    assert jones_polynomial(d) == {7: 1, -7: 1}
 
 
 def test_determinants():

@@ -12,12 +12,12 @@ from khs.linalg import (
     gf2_nullspace,
     gf2_rank,
     gf2_solve,
+    diagonal_form,
     int_rank,
     integer_homology_summands,
     q_nullspace,
     q_rank,
     q_solve,
-    smith_invariant_factors,
 )
 
 
@@ -426,22 +426,36 @@ def test_q_kernels_match_the_fraction_reference():
     assert q_solve([], []) == [] and q_solve([{}, {}], [{}]) == [{}]
 
 
-def test_smith_invariant_factors():
-    # [DERIVED] invariant factors match sympy's Smith normal form.
+def test_diagonal_form_against_sympy():
+    # [DERIVED] rank and prime-power parts match sympy's Smith normal form
+    # (a diagonal form need not be a divisibility chain, so only these are
+    # compared), with zero rows and columns and negative entries.
     from sympy.matrices.normalforms import smith_normal_form as sym_snf
+
+    def parts(factors):
+        return sorted(p ** k for f in factors
+                      for p, k in sympy.factorint(f).items())
+
     rng = random.Random(3)
-    for _ in range(20):
-        n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
-        mat = [[rng.randint(-4, 4) for _ in range(n_cols)]
+    entries = (0, 0, 0, 1, -1, 2, -2, 3, -4, 6, -12)
+    for _ in range(240):
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+        mat = [[rng.choice(entries) for _ in range(n_cols)]
                for _ in range(n_rows)]
-        ours = smith_invariant_factors([r[:] for r in mat])
-        theirs = sym_snf(sympy.Matrix(mat))
-        diag = [abs(theirs[i, i]) for i in range(min(n_rows, n_cols))
-                if theirs[i, i] != 0]
-        assert [abs(x) for x in ours] == diag
-        # divisibility chain d1 | d2 | ...
-        for a, b in zip(ours, ours[1:]):
-            assert b % a == 0
+        if rng.random() < 0.3:
+            mat[rng.randrange(n_rows)] = [0] * n_cols
+        if rng.random() < 0.3:
+            j = rng.randrange(n_cols)
+            for row in mat:
+                row[j] = 0
+        given = [r[:] for r in mat]
+        ours = diagonal_form(mat)
+        assert mat == given
+        snf = sym_snf(sympy.Matrix(mat))
+        theirs = [abs(snf[i, i]) for i in range(min(n_rows, n_cols))
+                  if snf[i, i] != 0]
+        assert len(ours) == len(theirs) == sympy.Matrix(mat).rank()
+        assert parts(ours) == parts(theirs)
 
 
 def test_int_rank():
@@ -455,9 +469,18 @@ def test_int_rank():
 
 
 def test_integer_homology_summands():
-    # [DERIVED] H = ker/im for d_in the multiplication-by-2 map Z -> Z
-    # follows from the Smith form: rank 0, torsion [2].
-    rank, torsion = integer_homology_summands([[2]], 0, 1)
-    assert (rank, torsion) == (0, [2])
-    rank, torsion = integer_homology_summands([[0] * 0 for _ in range(0)], 0, 1)
-    assert (rank, torsion) == (1, [])
+    # [DERIVED] H = ker/im with d_in diagonal is the sum of the Z/n, split
+    # into prime powers: multiplication by 2 on Z gives rank 0 and torsion
+    # [2], Z/6 = Z/2 + Z/3, Z/12 = Z/3 + Z/4, and Z/4 stays whole.
+    cases = [
+        (([[2]], 0, 1), (0, [2])),
+        (([], 0, 1), (1, [])),
+        (([[6]], 0, 1), (0, [2, 3])),
+        (([[4]], 0, 1), (0, [4])),
+        (([[12]], 0, 1), (0, [3, 4])),
+        (([[2, 0], [0, 3]], 0, 2), (0, [2, 3])),
+        # a zero row of d_in adds nothing; the second generator stays free
+        (([[0, 0], [6, 0]], 0, 2), (1, [2, 3])),
+    ]
+    for args, expect in cases:
+        assert integer_homology_summands(*args) == expect

@@ -72,7 +72,7 @@ def test_universal_coefficients(nb):
 @given(braids(max_len=4))
 def test_sq1_rank_matches_torsion(nb):
     # [DERIVED] rank Sq¹ into (i, q) = number of Z/2 summands of
-    # Kh^{i,q}(Z), computed independently via Smith normal form.
+    # Kh^{i,q}(Z), computed independently via the integer diagonal form.
     d = close(nb)
     expect = {}
     for (h, q), (_, tor) in khovanov_homology(d, "Z",

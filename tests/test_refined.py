@@ -5,6 +5,7 @@ import copy
 import pytest
 
 from khs.bockstein import sq1
+from khs.complexes import q_slice
 from khs.cube import build_complex
 from khs.linalg import GF2
 from khs.links import (
@@ -257,6 +258,70 @@ def test_validator_answers_false_on_a_string_rational_coefficient():
     assert validate_certificate(d, cert)
     bad = copy.deepcopy(cert)
     bad.x[next(iter(bad.x))] = "1"
+    assert validate_certificate(d, bad) is False
+
+
+def _odd_boundary_gen(cube, cols, keep, q):
+    """Id of a level-q degree −1 generator among ``keep`` whose column in
+    ``cols`` is nonzero mod 2."""
+    lv = cube.complex.levels[-1]
+    k = next(k for k, g in enumerate(keep)
+             if lv[g] == q and any(v % 2 for v in cols[k].values()))
+    return cube.gen_id(-1, keep[k])
+
+
+def _u_not_a_cycle(d, cert):
+    cube = build_complex(d, "khovanov", "Z")
+    keep = range(cube.complex.dim(-1))
+    cert.u[_odd_boundary_gen(cube, cube.complex.columns(-1), keep,
+                             cert.q)] = 1
+
+
+def _z_not_bounding(d, cert):
+    cube = build_complex(d, "bar_natan", "gf2")
+    gcx, gkeep = q_slice(cube.complex, cert.q, (-1, 0))
+    cert.z[_odd_boundary_gen(cube, gcx.columns(-1), gkeep[-1], cert.q)] = 1
+
+
+def _drop_one_y_term(d, cert):
+    del cert.y[next(iter(cert.y))]
+
+
+def _plain(d, cert):
+    cert.kind, cert.u, cert.z = "plain", None, None
+
+
+@pytest.mark.parametrize("tamper, valid", [
+    # x lies on levels q + 2 and above: raising q by 2 puts part of x on
+    # level q, where u = z = {} cannot account for it (p-condition), and
+    # raising it by 4 puts part of x below q (support check)
+    (lambda d, c: setattr(c, "q", c.q + 2), False),
+    (lambda d, c: setattr(c, "q", c.q + 4), False),
+    (lambda d, c: setattr(c, "alpha", 1 - c.alpha), False),
+    (_drop_one_y_term, False),
+    (_u_not_a_cycle, False),
+    (_z_not_bounding, False),
+    (_plain, True),
+], ids=["q+2", "q+4", "alpha", "y", "u", "z", "plain"])
+def test_validator_checks_each_condition(s_plus_942, tamper, valid):
+    # [DERIVED] each condition of the 9₄₂ 𝔽₂ s_plus certificate is checked:
+    # x on levels ≥ q, d(y) = x − α𝔰_𝔬 − β𝔰_𝔬̄, u a mod-2 cycle and
+    # d_gr(z) = x_q − Sq¹(u); the same x and y make a valid plain
+    # certificate, which has no p-part.
+    d, cert = s_plus_942
+    bad = copy.deepcopy(cert)
+    tamper(d, bad)
+    assert validate_certificate(d, bad) is valid
+
+
+def test_validator_checks_rational_alpha():
+    # [DERIVED] over ℚ: the trefoil s_plus certificate with −α in place of
+    # α fails the j-condition.
+    d = trefoil()
+    cert = refined_invariants(d, ZERO, char=0).certificates["s_plus"]
+    assert cert.alpha
+    bad = copy.deepcopy(cert)
+    bad.alpha = -cert.alpha
     assert validate_certificate(d, bad) is False
 
 
