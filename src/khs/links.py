@@ -78,16 +78,11 @@ class OrientedLinkDiagram:
     # -- construction helpers -------------------------------------------------
 
     def _validate_arcs(self) -> None:
-        seen: dict[int, int] = {}
         for c in self.crossings:
             if c.over_in not in (1, 3):
                 raise PDError(f"over_in must be 1 or 3, got {c.over_in}")
-            for a in c.quad:
-                seen[a] = seen.get(a, 0) + 1
-        bad = [a for a, k in seen.items() if k != 2]
-        if bad:
-            raise PDError(f"arc labels not appearing exactly twice: {sorted(bad)}")
-        self._arcs = sorted(seen)
+        self._arc_ends = _arc_ends([c.quad for c in self.crossings])
+        self._arcs = sorted(self._arc_ends)
 
     def _label_components(self) -> None:
         parent: dict[int, int] = {}
@@ -221,8 +216,7 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
         quads.append(tuple(nums))
     crossings = _derive_over_entries(quads)
     d = OrientedLinkDiagram(crossings, free_loops)
-    for piece in _universe_pieces(d):
-        _universe_faces(d, piece)
+    _checkerboard(d)
     if reversed_comps:
         flags = [False] * d.component_count
         for i in reversed_comps:
@@ -234,6 +228,18 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
     return d
 
 
+def _arc_ends(quads: Sequence[Sequence[int]]) -> dict[int, list[tuple[int, int]]]:
+    """Map each arc label to its two (crossing, slot) ends."""
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for ci, q in enumerate(quads):
+        for slot, a in enumerate(q):
+            ends.setdefault(a, []).append((ci, slot))
+    bad = [a for a, e in ends.items() if len(e) != 2]
+    if bad:
+        raise PDError(f"arc labels not appearing exactly twice: {sorted(bad)}")
+    return ends
+
+
 def _derive_over_entries(quads: list[tuple[int, int, int, int]]) -> list[Crossing]:
     """Derive over-strand entry slots from the slot-0/slot-2 direction rule.
 
@@ -241,18 +247,7 @@ def _derive_over_entries(quads: list[tuple[int, int, int, int]]) -> list[Crossin
     exit out of the crossing; slot 0 is an entry and slot 2 an exit by the PD
     convention, and every arc has exactly one entry and one exit occurrence.
     """
-    seen: dict[int, int] = {}
-    for q in quads:
-        for a in q:
-            seen[a] = seen.get(a, 0) + 1
-    bad = [a for a, k in seen.items() if k != 2]
-    if bad:
-        raise PDError(f"arc labels not appearing exactly twice: {sorted(bad)}")
-
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for ci, q in enumerate(quads):
-        for slot, a in enumerate(q):
-            occ.setdefault(a, []).append((ci, slot))
+    ends = _arc_ends(quads)
 
     # inbound[(ci, slot)] = True if the arc there is directed into the crossing
     inbound: dict[tuple[int, int], bool] = {}
@@ -269,7 +264,7 @@ def _derive_over_entries(quads: list[tuple[int, int, int, int]]) -> list[Crossin
             inbound[(ci, slot)] = v
             # the arc's other occurrence has the opposite in/out status
             a = quads[ci][slot]
-            for pos2 in occ[a]:
+            for pos2 in ends[a]:
                 if pos2 != (ci, slot):
                     stack.append((pos2, not v))
             # over-strand slots of one crossing are one entry, one exit
@@ -454,127 +449,68 @@ def resolution_circles(d: OrientedLinkDiagram, vertex: Sequence[int]):
     return circles, arc_circle, cr_circ
 
 
-def _universe_pieces(d: OrientedLinkDiagram) -> list[list[int]]:
-    parent: dict[int, int] = {}
-    for ci, c in enumerate(d.crossings):
-        for a in c.quad:
-            _union(parent, ("c", ci), ("a", a))
-    pieces: dict = {}
-    for ci in range(d.n_crossings):
-        pieces.setdefault(_find(parent, ("c", ci)), []).append(ci)
-    return sorted(pieces.values(), key=min)
+def _checkerboard(d: OrientedLinkDiagram) -> list[int]:
+    """Check that every connected piece is planar; return crossing colours.
 
-
-def _universe_faces(d: OrientedLinkDiagram, piece: list[int]):
-    """Face-trace the 4-valent projection restricted to one connected piece.
-
-    Darts are (crossing, slot) pairs meaning "arrived at this slot"; the face
-    to one fixed side is traced by rotating one slot and following that arc.
-    Returns a list of faces, each a list of corners (crossing, k) where corner
-    k sits between slots k and k+1.
+    Corner (ci, k) sits between slots k and k+1.  An arc from slot s of ci
+    to slot t of cj puts corners (ci, s-1), (cj, t) in one face and corners
+    (ci, s), (cj, t-1) in one face, so a union-find over corners gives the
+    faces.  A connected piece is planar iff it has crossings + 2 faces.
+    In the checkerboard colouring of the faces, corner (ci, k) has colour
+    colour[ci] + k (mod 2), so that arc forces colour[ci] + colour[cj] to
+    s + t + 1; the first crossing of each piece has colour 0, which puts
+    its corner 0 in the colour-0 (outer) face.
     """
-    occ: dict[int, list[tuple[int, int]]] = {}
-    pset = set(piece)
-    for ci in piece:
-        for slot, a in enumerate(d.crossings[ci].quad):
-            occ.setdefault(a, []).append((ci, slot))
-
-    def other(ci: int, slot: int) -> tuple[int, int]:
-        a = d.crossings[ci].quad[slot]
-        for pos in occ[a]:
-            if pos != (ci, slot):
-                return pos
-        raise PDError("arc occurrence lookup failed")
-
-    darts = [(ci, s) for ci in piece for s in range(4)]
-    unvisited = set(darts)
-    faces = []
-    while unvisited:
-        start = min(unvisited)
-        face = []
-        cur = start
-        while True:
-            unvisited.discard(cur)
-            ci, p = cur
-            face.append((ci, p))
-            s2 = (p + 1) % 4
-            cur = other(ci, s2)
-            if cur == start:
-                break
-        faces.append(face)
-    if len(faces) != len(piece) + 2:
-        raise NonPlanarError(
-            f"face count {len(faces)} != {len(piece) + 2}: non-planar PD data")
-    return faces
+    faces: dict = {}
+    for (ci, s), (cj, t) in d._arc_ends.values():
+        _union(faces, (ci, (s - 1) % 4), (cj, t))
+        _union(faces, (ci, s), (cj, (t - 1) % 4))
+    colour: list[int | None] = [None] * d.n_crossings
+    pieces = 0
+    for first in range(d.n_crossings):
+        if colour[first] is not None:
+            continue
+        pieces += 1
+        colour[first] = 0
+        stack = [first]
+        while stack:
+            ci = stack.pop()
+            for s, a in enumerate(d.crossings[ci].quad):
+                for cj, t in d._arc_ends[a]:
+                    if colour[cj] is None:
+                        colour[cj] = (colour[ci] + s + t + 1) % 2
+                        stack.append(cj)
+    # a connected piece has at most crossings + 2 faces (crossings + 2 - 2g
+    # on a genus-g surface), so the total reaches crossings + 2 per piece
+    # only when every piece is planar
+    n_faces = len({_find(faces, (ci, k))
+                   for ci in range(d.n_crossings) for k in range(4)})
+    if n_faces != d.n_crossings + 2 * pieces:
+        raise NonPlanarError(f"face count {n_faces} != "
+                             f"{d.n_crossings + 2 * pieces}: non-planar PD data")
+    return colour
 
 
 def oriented_resolution(d: OrientedLinkDiagram) -> list[int]:
     """Label parity of each circle of the orientation-respecting smoothing
     (in :func:`resolution_circles` order): its nesting depth plus its 0/1
-    rotation sense relative to the chosen outer face, mod 2."""
+    rotation sense relative to the outer face, mod 2.
+
+    A smoothing joins opposite corners, which share a checkerboard colour,
+    so the regions of the smoothing inherit the colouring and crossing a
+    circle flips it.  A circle passing crossing ci through slots (i, i+1)
+    thus has parity colour[ci] + i, plus 1 when it leaves through slot i;
+    free loops have parity 0.
+    """
     if d.is_empty():
         raise PDError("empty diagram has no oriented resolution")
+    colour = _checkerboard(d)
     vertex = d.oriented_vertex()
     circles, arc_circle, _ = resolution_circles(d, vertex)
-    depth = [0] * len(circles)
-    winding = [0] * len(circles)
-
-    # entry slots under the effective orientation, per crossing
-    entries = [set(d.effective_entries(ci)) for ci in range(d.n_crossings)]
-
-    for piece in _universe_pieces(d):
-        faces = _universe_faces(d, piece)
-        corner_face: dict[tuple[int, int], int] = {}
-        for fi, face in enumerate(faces):
-            for corner in face:
-                corner_face[corner] = fi
-        # merge faces through the smoothing channel at each crossing
-        parent: dict[int, int] = {}
-        for ci in piece:
-            ch = 1 if vertex[ci] == 0 else 0
-            _union(parent, corner_face[(ci, ch)], corner_face[(ci, (ch + 2) % 4)])
-        # strand sides: pairing (i, i+1) has corner side (ci, i), channel (ci, i+1)
-        circ_regions: dict[int, set[int]] = {}
-        strand_info: dict[int, list[tuple[int, int, int]]] = {}
-        for ci in piece:
-            base = 0 if vertex[ci] == 0 else 1
-            for i in (base, base + 2):
-                i0, i1 = i % 4, (i + 1) % 4
-                circ = arc_circle[d.crossings[ci].quad[i0]]
-                corner_r = _find(parent, corner_face[(ci, i0)])
-                channel_r = _find(parent, corner_face[(ci, i1)])
-                circ_regions.setdefault(circ, set()).update((corner_r, channel_r))
-                # traversal direction: slot with inbound arc is the entry
-                ccw = i0 in entries[ci]  # entering at i0, exiting at i1
-                strand_info.setdefault(circ, []).append(
-                    (ci, channel_r if ccw else corner_r,      # left region
-                     corner_r if ccw else channel_r))         # right region
-        piece_circles = sorted(circ_regions)
-        for circ in piece_circles:
-            if len(circ_regions[circ]) != 2:
-                raise NonPlanarError("circle does not bound two regions")
-        # region adjacency graph must be a tree on the sphere
-        regions = sorted({r for rs in circ_regions.values() for r in rs})
-        if len(regions) != len(piece_circles) + 1:
-            raise NonPlanarError("smoothed diagram regions do not form a tree")
-        outer = _find(parent, corner_face[(min(piece), 0)])
-        dist = {outer: 0}
-        frontier = [outer]
-        while frontier:
-            nxt = []
-            for r in frontier:
-                for circ in piece_circles:
-                    if r in circ_regions[circ]:
-                        for r2 in circ_regions[circ]:
-                            if r2 not in dist:
-                                dist[r2] = dist[r] + 1
-                                nxt.append(r2)
-            frontier = nxt
-        for circ in piece_circles:
-            r1, r2 = sorted(circ_regions[circ], key=lambda r: dist[r])
-            if dist[r2] != dist[r1] + 1:
-                raise NonPlanarError("inconsistent nesting structure")
-            depth[circ] = dist[r1]
-            ci, left, right = sorted(strand_info[circ])[0]
-            winding[circ] = 0 if _find(parent, left) == r2 else 1
-    return [(dp + w) % 2 for dp, w in zip(depth, winding)]
+    parity = [0] * len(circles)
+    for ci, c in enumerate(d.crossings):
+        entries = d.effective_entries(ci)
+        for i in (vertex[ci], vertex[ci] + 2):
+            parity[arc_circle[c.quad[i]]] = (
+                colour[ci] + i + (i not in entries)) % 2
+    return parity

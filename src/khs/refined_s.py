@@ -511,13 +511,18 @@ def validate_certificate(d: OrientedLinkDiagram,
     """Re-check a fullness certificate from scratch by chain arithmetic.
 
     Also False for a characteristic other than 0 or 2, an unknown kind, a
-    level q that is not an int, a chain that is not a dict of generator
+    kind "sq1" outside characteristic 2, a u (kinds plain and zero) or z
+    (kind plain) that the kind does not read and that is not None or {},
+    a level q that is not an int, a chain that is not a dict of generator
     ids, a coefficient that is not an int (over 𝔽₂) or an int or Fraction
     (over ℚ), a generator the cube does not have, or z off level q.
     """
     chains = (cert.x, cert.y, cert.u or {}, cert.z or {})
     types = int if cert.char == 2 else (int, Fraction)
+    unread = {"plain": (cert.u, cert.z), "zero": (cert.u,), "sq1": ()}
     if (cert.char not in (0, 2) or cert.kind not in ("plain", "zero", "sq1")
+            or (cert.kind == "sq1" and cert.char != 2)
+            or any(c not in (None, {}) for c in unread[cert.kind])
             or not isinstance(cert.q, int)
             or not all(isinstance(c, dict) for c in chains)
             or not all(isinstance(k, str) and isinstance(v, types)

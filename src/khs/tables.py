@@ -1,17 +1,4 @@
-"""Registry of named example diagrams.
-
-Names accepted by :func:`builtin_diagram`:
-
-* ``empty`` -- the empty link
-* ``unknot`` -- one crossingless circle
-* ``trefoil`` -- right-handed trefoil (all crossings positive, s = 2)
-* ``trefoil_mirror`` -- left-handed trefoil
-* ``hopf`` / ``hopf_neg`` -- positive / negative Hopf link
-* ``torus:N:Q`` -- closure of the full twist on ``N`` strands with the
-  last ``Q`` strands reversed (notation ``T(N,N)_{N-Q,Q}``)
-* ``9_42`` -- the knot 9_42, drawn as three strands through a +1 full
-  twist box, closed off with three further crossings
-"""
+"""Registry of named example diagrams: :data:`BUILTINS`."""
 
 from __future__ import annotations
 
@@ -40,39 +27,30 @@ def knot_9_42() -> OrientedLinkDiagram:
     return parse_pd(PD_9_42)
 
 
+# Name -> constructor; ``torus:N:Q`` takes N and Q from the name.
+BUILTINS = {
+    "empty": empty_link,
+    "unknot": unknot,  # one crossingless circle
+    "trefoil": trefoil,  # right-handed, all crossings positive, s = 2
+    "trefoil_mirror": lambda: trefoil().mirror(),
+    "hopf": hopf_link,
+    "hopf_neg": lambda: hopf_link().mirror(),
+    # closure of the full twist on N strands with the last Q strands
+    # reversed (notation T(N,N)_{N-Q,Q})
+    "torus:N:Q": lambda n, q: torus_link(TorusLinkSpec(n, q)),
+    "9_42": knot_9_42,
+}
+BUILTIN_NAMES = list(BUILTINS)
+
+
 def builtin_diagram(name: str) -> OrientedLinkDiagram:
-    """Resolve a builtin diagram name (see module docstring)."""
+    """Resolve a builtin diagram name (see :data:`BUILTINS`)."""
     key = name.strip().lower()
-    if key == "empty":
-        return empty_link()
-    if key == "unknot":
-        return unknot()
-    if key == "trefoil":
-        return trefoil()
-    if key == "trefoil_mirror":
-        return trefoil().mirror()
-    if key == "hopf":
-        return hopf_link()
-    if key == "hopf_neg":
-        return hopf_link().mirror()
-    if key == "9_42":
-        return knot_9_42()
     if key.startswith("torus:"):
         parts = key.split(":")
         if len(parts) != 3:
             raise ValueError(f"expected torus:N:Q, got {name!r}")
-        n, q = int(parts[1]), int(parts[2])
-        return torus_link(TorusLinkSpec(n, q))
-    raise ValueError(f"unknown builtin diagram {name!r}")
-
-
-BUILTIN_NAMES = [
-    "empty",
-    "unknot",
-    "trefoil",
-    "trefoil_mirror",
-    "hopf",
-    "hopf_neg",
-    "torus:N:Q",
-    "9_42",
-]
+        return BUILTINS["torus:N:Q"](int(parts[1]), int(parts[2]))
+    if key not in BUILTINS:
+        raise ValueError(f"unknown builtin diagram {name!r}")
+    return BUILTINS[key]()

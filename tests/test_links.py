@@ -6,11 +6,15 @@ Tag key used across the test suite:
   [TRIVIAL] -- structural/bookkeeping fact asserted directly.
 """
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from khs.links import (
+    Crossing,
     NonPlanarError,
     OrientedLinkDiagram,
     PDError,
@@ -26,6 +30,7 @@ from khs.links import (
     trefoil,
     unknot,
 )
+from khs.links import _derive_over_entries, _find, _union
 from khs.tables import BUILTIN_NAMES, builtin_diagram
 
 
@@ -214,8 +219,6 @@ def test_mixed_sign_braids_are_planar():
     # [DERIVED] every closure of a braid is a planar diagram, so each of
     # the 280 mixed-sign 3-strand words of length <= 4 has an oriented
     # resolution.
-    from itertools import product
-
     words = [w for n in range(1, 5) for w in product((1, -1, 2, -2), repeat=n)
              if min(w) < 0 < max(w)]
     assert len(words) == 280
@@ -236,3 +239,197 @@ def test_reversed_strands_flag_their_component():
     e = braid_closure(3, [1, -1], reversed_strands=[3])
     assert e.free_loops == 1 and e.component_orientations == [
         False, False, True]
+
+
+# -- reference label parities by face tracing and a region tree ---------------
+
+
+def _reference_pieces(d):
+    parent = {}
+    for ci, c in enumerate(d.crossings):
+        for a in c.quad:
+            _union(parent, ("c", ci), ("a", a))
+    pieces = {}
+    for ci in range(d.n_crossings):
+        pieces.setdefault(_find(parent, ("c", ci)), []).append(ci)
+    return sorted(pieces.values(), key=min)
+
+
+def _reference_faces(d, piece):
+    """Faces of one connected piece as lists of corners (crossing, k),
+    corner k between slots k and k+1, traced dart by dart."""
+    occ = {}
+    for ci in piece:
+        for slot, a in enumerate(d.crossings[ci].quad):
+            occ.setdefault(a, []).append((ci, slot))
+
+    def other(ci, slot):
+        return next(pos for pos in occ[d.crossings[ci].quad[slot]]
+                    if pos != (ci, slot))
+
+    unvisited = {(ci, s) for ci in piece for s in range(4)}
+    faces = []
+    while unvisited:
+        start = cur = min(unvisited)
+        face = []
+        while True:
+            unvisited.discard(cur)
+            face.append(cur)
+            cur = other(cur[0], (cur[1] + 1) % 4)
+            if cur == start:
+                break
+        faces.append(face)
+    if len(faces) != len(piece) + 2:
+        raise NonPlanarError("face count")
+    return faces
+
+
+def _reference_oriented_resolution(d):
+    """Each circle's nesting depth in the region tree of the smoothing,
+    counted from the face at corner 0 of the piece's first crossing, plus
+    1 when the circle runs clockwise, mod 2."""
+    if d.is_empty():
+        raise PDError("empty diagram has no oriented resolution")
+    vertex = d.oriented_vertex()
+    circles, arc_circle, _ = resolution_circles(d, vertex)
+    depth = [0] * len(circles)
+    winding = [0] * len(circles)
+    entries = [set(d.effective_entries(ci)) for ci in range(d.n_crossings)]
+    for piece in _reference_pieces(d):
+        corner_face = {corner: fi for fi, face in
+                       enumerate(_reference_faces(d, piece))
+                       for corner in face}
+        # merge faces through the smoothing channel at each crossing
+        parent = {}
+        for ci in piece:
+            ch = 1 if vertex[ci] == 0 else 0
+            _union(parent, corner_face[(ci, ch)],
+                   corner_face[(ci, (ch + 2) % 4)])
+        circ_regions, strand_info = {}, {}
+        for ci in piece:
+            base = 0 if vertex[ci] == 0 else 1
+            for i in (base, base + 2):
+                i0, i1 = i % 4, (i + 1) % 4
+                circ = arc_circle[d.crossings[ci].quad[i0]]
+                corner_r = _find(parent, corner_face[(ci, i0)])
+                channel_r = _find(parent, corner_face[(ci, i1)])
+                circ_regions.setdefault(circ, set()).update(
+                    (corner_r, channel_r))
+                ccw = i0 in entries[ci]
+                strand_info.setdefault(circ, []).append(
+                    (ci, channel_r if ccw else corner_r,
+                     corner_r if ccw else channel_r))
+        piece_circles = sorted(circ_regions)
+        assert all(len(circ_regions[c]) == 2 for c in piece_circles)
+        regions = {r for rs in circ_regions.values() for r in rs}
+        assert len(regions) == len(piece_circles) + 1
+        outer = _find(parent, corner_face[(min(piece), 0)])
+        dist, frontier = {outer: 0}, [outer]
+        while frontier:
+            nxt = []
+            for r in frontier:
+                for circ in piece_circles:
+                    if r in circ_regions[circ]:
+                        for r2 in circ_regions[circ] - dist.keys():
+                            dist[r2] = dist[r] + 1
+                            nxt.append(r2)
+            frontier = nxt
+        for circ in piece_circles:
+            r1, r2 = sorted(circ_regions[circ], key=dist.get)
+            assert dist[r2] == dist[r1] + 1
+            depth[circ] = dist[r1]
+            _, left, _ = sorted(strand_info[circ])[0]
+            winding[circ] = 0 if _find(parent, left) == r2 else 1
+    return [(dp + w) % 2 for dp, w in zip(depth, winding)]
+
+
+def _outcome(f, *args):
+    """f(*args), or the class of the PDError it raises."""
+    try:
+        return f(*args)
+    except PDError as e:
+        return type(e)
+
+
+def _reference_parse(text):
+    quads = [tuple(int(x) for x in q.split(","))
+             for q in text.replace("X(", "").split(")") if q.strip()]
+    d = OrientedLinkDiagram(_derive_over_entries(quads))
+    for piece in _reference_pieces(d):
+        _reference_faces(d, piece)
+    return d
+
+
+def _parity_corpus():
+    rng = random.Random(19)
+    names = ["unknot", "trefoil", "trefoil_mirror", "hopf", "hopf_neg",
+             "9_42"] + [f"torus:{n}:{q}" for n in range(1, 6)
+                        for q in range(n // 2 + 1)]
+    named = {n: builtin_diagram(n) for n in names}
+    base = list(named.values()) + [d.mirror() for d in named.values()]
+    base += [parse_pd("X(1,1,2,2)"), parse_pd("X(2,1,1,2)")]
+    for _ in range(120):
+        n = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(1, 10))]
+        base.append(braid_closure(n, word))
+    base += [named["trefoil_mirror"].disjoint_union(named["hopf"]),
+             named["hopf"].disjoint_union(named["9_42"]),
+             unknot().disjoint_union(named["trefoil"])
+             .disjoint_union(named["torus:3:0"])]
+    out = []
+    for d in base:
+        if 2 <= d.component_count <= 3:
+            out += [d.with_orientations(flags) for flags in
+                    product((False, True), repeat=d.component_count)]
+        else:
+            out.append(d)
+    return out
+
+
+def test_oriented_resolution_matches_face_tracing():
+    # [DERIVED] the checkerboard parities equal depth + rotation sense read
+    # off the traced faces and the region tree of the smoothing.
+    corpus = _parity_corpus()
+    assert len(corpus) > 400
+    for d in corpus:
+        assert oriented_resolution(d) == _reference_oriented_resolution(d), \
+            serialize_pd(d)
+
+
+def _random_pd(rng):
+    n = rng.randint(1, 4)
+    labels = list(range(1, 2 * n + 1)) * 2
+    rng.shuffle(labels)
+    if rng.random() < 0.1:
+        labels[rng.randrange(4 * n)] = rng.randint(1, 2 * n + 1)
+    return " ".join("X({},{},{},{})".format(*labels[4 * i:4 * i + 4])
+                    for i in range(n))
+
+
+def test_random_pd_outcomes_match_face_tracing():
+    # [DERIVED] on seeded random 1-4 crossing PD strings, parse_pd and
+    # oriented_resolution give the reference's result or exception class.
+    rng = random.Random(1919)
+    kinds = set()
+    for _ in range(600):
+        text = _random_pd(rng)
+        new, ref = _outcome(parse_pd, text), _outcome(_reference_parse, text)
+        if isinstance(ref, type):
+            assert new is ref, text
+            kinds.add(ref)
+            continue
+        assert serialize_pd(new) == serialize_pd(ref)
+        assert _outcome(oriented_resolution, new) == \
+            _outcome(_reference_oriented_resolution, ref), text
+        kinds.add("planar")
+    assert kinds == {"planar", PDError, NonPlanarError}
+
+
+def test_direct_nonplanar_diagram_rejected():
+    # [TRIVIAL] a diagram built without parse_pd is checked for planarity
+    # when its oriented resolution is taken.
+    d = OrientedLinkDiagram([Crossing((1, 2, 3, 4), 1),
+                             Crossing((3, 4, 1, 2), 1)])
+    with pytest.raises(NonPlanarError):
+        oriented_resolution(d)

@@ -12,6 +12,7 @@ from khs.cube import build_complex, khovanov_homology
 from khs.complexes import filtered_reduce
 from khs.jones import jones_polynomial
 from khs.links import braid_closure
+from khs.refined_s import SQ1, adjunction_bound, refined_invariants, s_classical
 
 SET = settings(max_examples=40, deadline=None,
                suppress_health_check=[HealthCheck.too_slow])
@@ -106,3 +107,43 @@ def test_deformed_total_dimension(nb):
     lee = build_complex(d, "lee", "Q").complex
     assert sum(bn.homology_field().values()) == 2 ** c
     assert sum(lee.homology_field().values()) == 2 ** c
+
+
+def _s_values(d):
+    """(s over 𝔽₂, s over ℚ, s₊^{Sq¹})."""
+    res = refined_invariants(d, SQ1)
+    return res.s_classical, s_classical(d, 0), res.s_plus
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(3, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(1, n - 1) | st.integers(1 - n, -1),
+             min_size=1, max_size=7))), st.data())
+def test_crossing_change_inequality(nb, data):
+    """[PAPER] s(K₋) ≤ s(K₊) ≤ s(K₋) + 2, where K₊ closes a word with one
+    letter σᵢ and K₋ the same word with σᵢ⁻¹ there, no strand reversed.
+
+    The paper's adjunction inequality in k CP²-bar (arXiv 2502.20728, for
+    s and for the s-version s₊^{Sq¹} of the Sq¹-refinement; after
+    Manolescu–Marengon–Sarkar–Willis) bounds the far end of a cobordism
+    Σ by s(L₁) ≤ s(L₀) − χ(Σ) − [Σ]² − |[Σ]| (``adjunction_bound``).  One
+    blow-up puts a positive full twist into the strands through a disk D;
+    the trace of the link is an annulus per component, so χ(Σ) = 0.
+    - The two strands at the crossing pass a horizontal D the same way.
+      The twist σᵢ² turns K₋ into K₊ with [Σ] = 2e, [Σ]² = −4 and
+      |[Σ]| = 2: s(K₊) ≤ s(K₋) + 2.
+    - Seen sideways, they pass a vertical D in opposite directions, and
+      the same twist turns K₊ into K₋ with [Σ] = 0: s(K₋) ≤ s(K₊).
+    The inequality is stated for s-type invariants, not for r₊, so r₊
+    is not checked.
+    """
+    n, word = nb
+    k = data.draw(st.integers(0, len(word) - 1))
+    plus, minus = list(word), list(word)
+    plus[k], minus[k] = abs(word[k]), -abs(word[k])
+    for at_plus, at_minus in zip(_s_values(braid_closure(n, plus)),
+                                 _s_values(braid_closure(n, minus))):
+        assert at_plus <= adjunction_bound(at_minus, 0, -4, 2)
+        assert at_minus <= adjunction_bound(at_plus, 0, 0, 0)

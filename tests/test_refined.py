@@ -1,6 +1,7 @@
 """Refined s-invariants: classical s, r_plus, s_plus, certificates."""
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -312,6 +313,22 @@ def test_validator_checks_each_condition(s_plus_942, tamper, valid):
     bad = copy.deepcopy(cert)
     tamper(d, bad)
     assert validate_certificate(d, bad) is valid
+
+
+@pytest.mark.parametrize("char, theta, changes", [
+    (0, ZERO, {"kind": "sq1"}),
+    (0, ZERO, {"u": {"bogus": 1}}),
+    (2, SQ1, {"kind": "plain", "u": None, "z": {"bogus": 1}}),
+], ids=["sq1-over-Q", "zero-with-u", "plain-with-z"])
+def test_validator_rejects_what_the_kind_cannot_hold(char, theta, changes):
+    # [TRIVIAL] Sq¹ exists only in characteristic 2, and a chain the kind
+    # never reads (u for plain and zero, z for plain) must be None or
+    # empty: a bogus generator there is one the cube does not have.
+    d = trefoil()
+    cert = refined_invariants(d, theta, char=char).certificates["s_plus"]
+    assert validate_certificate(d, cert)
+    assert validate_certificate(d, dataclasses.replace(cert, **changes)) \
+        is False
 
 
 def test_validator_checks_rational_alpha():
