@@ -46,7 +46,8 @@ class FilteredComplex:
         return sorted(self.levels)
 
     def columns(self, h: int) -> list[Column]:
-        return self.diff.get(h, [{} for _ in range(self.dim(h))])
+        cols = self.diff.get(h)
+        return [{} for _ in range(self.dim(h))] if cols is None else cols
 
     def _int_matrix(self, h: int) -> list[list[int]]:
         """Dense transpose of d_h: one list per generator of C^h, indexed

@@ -11,7 +11,9 @@ these:
 * ``gf2_rank`` and ``q_rank`` take any list of vectors, rows or columns;
 * ``gf2_nullspace``, ``q_nullspace`` and ``q_solve`` take the columns of
   the matrix, and ``q_solve`` a list of targets, all solved against one
-  elimination;
+  elimination; the two rational ones first number the rows by the first
+  column that reaches them, latest first (rows that only targets reach go
+  last), which keeps the fill low and leaves every answer as it is;
 * ``gf2_solve`` takes the rows and transposes them back into columns.
 
 Integer matrices, reduced to a diagonal form, are dense lists of lists of
@@ -188,6 +190,31 @@ def q_rank(vecs: list[dict]) -> int:
     return len(ech.pivots)
 
 
+def _renumbered(cols: list[dict]) -> tuple[dict[int, int],
+                                           list[tuple[dict[int, int], int]]]:
+    """(index, [(vec, m)]): each column cleared as by :func:`_integral`,
+    with its rows renumbered by ``index``.
+
+    Rows sort by the first column with an entry in them, latest first,
+    then by old index.  Eliminated in order with lowest-index pivots, a
+    column that reaches a new row then pivots on it at once, with no
+    reduction and so no fill.  The columns that earlier ones do not span,
+    the solution supported on them and each relation to them do not depend
+    on how rows are numbered.
+    """
+    vecs = [_integral(col) for col in cols]
+    seen: set[int] = set()
+    fresh = []
+    for vec, _ in vecs:
+        rows = sorted(vec.keys() - seen)
+        seen.update(rows)
+        fresh.append(rows)
+    index = {r: i for i, r in
+             enumerate(r for rows in reversed(fresh) for r in rows)}
+    return index, [({index[r]: v for r, v in vec.items()}, m)
+                   for vec, m in vecs]
+
+
 def q_nullspace(cols: list[dict]) -> list[QRow]:
     """Basis of {λ : Σ λ_k·cols[k] = 0}.
 
@@ -197,8 +224,7 @@ def q_nullspace(cols: list[dict]) -> list[QRow]:
     """
     ech = QEchelon()
     basis = []
-    for j, col in enumerate(cols):
-        vec, m = _integral(col)
+    for j, (vec, m) in enumerate(_renumbered(cols)[1]):
         rest, comb = ech.add(vec, {j: m})
         if not rest:
             basis.append({k: Fraction(v, comb[j]) for k, v in comb.items()})
@@ -213,13 +239,15 @@ def q_solve(cols: list[dict], targets: list[dict]) -> list[QRow | None]:
     the columns that no earlier column combination reaches.
     """
     ech = QEchelon()
-    for j, col in enumerate(cols):
-        vec, m = _integral(col)
+    index, vecs = _renumbered(cols)
+    for j, (vec, m) in enumerate(vecs):
         ech.add(vec, {j: m})
-    n = len(cols)
+    n, n_rows = len(cols), len(index)
     sols = []
     for target in targets:
         vec, m = _integral(target)
+        # rows that no column reaches go last, keeping their order
+        vec = {index.get(r, n_rows + r): v for r, v in vec.items()}
         rest, comb = ech.reduce(vec, {n: m})
         # the remainder is m·target + Σ comb_j·col_j, so x = −comb/m
         m = comb.pop(n)

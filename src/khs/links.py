@@ -46,7 +46,11 @@ def _find(parent: dict, a):
 
 @dataclass
 class OrientedLinkDiagram:
-    """PD-coded oriented link diagram with per-component orientation flags."""
+    """PD-coded oriented link diagram with per-component orientation flags.
+
+    Every connected piece must be planar; construction raises
+    :class:`NonPlanarError` otherwise.
+    """
 
     crossings: list[Crossing]
     free_loops: int = 0
@@ -74,6 +78,8 @@ class OrientedLinkDiagram:
                 f"{len(self.component_orientations)} orientation flags for "
                 f"{self.component_count} components"
             )
+        # checkerboard colour of each crossing; raises NonPlanarError
+        self._colour = _checkerboard(self)
 
     # -- construction helpers -------------------------------------------------
 
@@ -216,7 +222,6 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
         quads.append(tuple(nums))
     crossings = _derive_over_entries(quads)
     d = OrientedLinkDiagram(crossings, free_loops)
-    _checkerboard(d)
     if reversed_comps:
         flags = [False] * d.component_count
         for i in reversed_comps:
@@ -504,7 +509,7 @@ def oriented_resolution(d: OrientedLinkDiagram) -> list[int]:
     """
     if d.is_empty():
         raise PDError("empty diagram has no oriented resolution")
-    colour = _checkerboard(d)
+    colour = d._colour
     vertex = d.oriented_vertex()
     circles, arc_circle, _ = resolution_circles(d, vertex)
     parity = [0] * len(circles)

@@ -130,6 +130,19 @@ def test_compute_torus_4_4_output_pinned(capsys):
 
 
 @pytest.mark.slow
+def test_compute_torus_4_4_over_q_output_pinned(capsys):
+    # [DERIVED] the same link over Q with theta zero: the certificate chains
+    # come from rational solves against the full Lee d_{-1}, so this pins
+    # their answers at the cube's scale, whatever order the rows are
+    # eliminated in.
+    code, out, _ = run(capsys, "compute", "--link", "torus:4:2", "--char",
+                       "0", "--theta", "zero", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0df72027bdb9c81e204854983e7af4fc8b015cda87935eaf2445e74c64b97fc1")
+
+
+@pytest.mark.slow
 def test_verify_dichotomy(capsys):
     code, out, _ = run(capsys, "verify", "dichotomy")
     assert code == 0

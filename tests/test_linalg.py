@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
+from khs import linalg
 from khs.linalg import (
     GF2Echelon,
     QEchelon,
@@ -19,6 +21,9 @@ from khs.linalg import (
     q_rank,
     q_solve,
 )
+from khs.linalg import _integral, _renumbered
+from khs.refined_s import ZERO, refined_invariants
+from khs.tables import knot_9_42
 
 
 def _random_gf2_rows(rng, n_rows, n_cols):
@@ -367,12 +372,15 @@ def _ref_nullspace(cols):
     return basis
 
 
-def _ref_solve(cols, target):
+def _ref_solve(cols, targets):
     ech = _FractionEchelon()
     for j, col in enumerate(cols):
         ech.add(_fractions(col), {j: Fraction(1)})
-    rest, comb = ech.reduce(_fractions(target), {})
-    return None if rest else {k: -v for k, v in comb.items()}
+    sols = []
+    for target in targets:
+        rest, comb = ech.reduce(_fractions(target), {})
+        sols.append(None if rest else {k: -v for k, v in comb.items()})
+    return sols
 
 
 def _random_rational(rng):
@@ -412,7 +420,7 @@ def test_q_kernels_match_the_fraction_reference():
                     picked[i] = picked.get(i, 0) + f * v
             targets.append(picked)
         sols = q_solve(cols, targets)
-        assert sols == [_ref_solve(cols, t) for t in targets]
+        assert sols == _ref_solve(cols, targets)
         assert sols[1] == {}  # the zero target
         outcomes.extend(sol is None for sol in sols)
         for target, sol in zip(targets, sols):
@@ -424,6 +432,88 @@ def test_q_kernels_match_the_fraction_reference():
                 assert _fractions(acc) == _fractions(target)
     assert 100 < sum(outcomes) < len(outcomes) - 100  # both kinds, often
     assert q_solve([], []) == [] and q_solve([{}, {}], [{}]) == [{}]
+
+
+def test_q_kernels_match_the_reference_with_unreached_target_rows():
+    # [DERIVED] seeded sparse systems of 50-200 columns, with rows that no
+    # column reaches scattered among the others, and targets in the span,
+    # in the span plus an unreached row, on unreached rows only, and
+    # random: equal to the natural-order Fraction elimination.
+    rng = random.Random(20)
+    for _ in range(8):
+        n_cols = rng.randint(50, 200)
+        n_rows = rng.randint(n_cols // 2, 2 * n_cols)
+        unreached = rng.sample(range(n_rows), n_rows // 5)
+        reached = sorted(set(range(n_rows)) - set(unreached))
+        cols = [{i: _random_rational(rng)
+                 for i in rng.sample(reached, rng.randint(0, 4))}
+                for _ in range(n_cols)]
+        cols = _degenerate(
+            rng, cols, {},
+            lambda a, b: {i: a.get(i, 0) - Fraction(3, 2) * b.get(i, 0)
+                          for i in a.keys() | b.keys()})
+        spans = []
+        for _ in range(3):
+            picked = {}
+            for j in range(n_cols):
+                f = _random_rational(rng)
+                for i, v in cols[j].items():
+                    picked[i] = picked.get(i, 0) + f * v
+            spans.append(picked)
+        off = [{**spans[0], unreached[0]: Fraction(1, 3)},
+               {u: 2 for u in unreached[:3]}]
+        noise = [{i: _random_rational(rng) for i in range(n_rows)}]
+        sols = q_solve(cols, spans + off + noise)
+        assert sols == _ref_solve(cols, spans + off + noise)
+        assert None not in sols[:3] and sols[3:5] == [None, None]
+        assert q_nullspace(cols) == _ref_nullspace(cols)
+
+
+@pytest.fixture(scope="module")
+def lee_942_j_system():
+    """9_42's Lee d_{-1} and both certificates' j-condition targets, taken
+    from the largest q_solve call of the refined pipeline over Q."""
+    calls = []
+
+    def spy(cols, targets):
+        calls.append((cols, targets))
+        return q_solve(cols, targets)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "q_solve", spy)
+        refined_invariants(knot_9_42(), ZERO, char=0)
+    cols, targets = max(calls, key=lambda call: len(call[0]))
+    assert (len(cols), sum(map(len, cols)), len(targets)) == (624, 5184, 2)
+    return cols, targets
+
+
+@pytest.mark.slow
+def test_q_kernels_match_the_reference_on_the_lee_differential(
+        lee_942_j_system):
+    # [DERIVED] at the scale compute solves at: the renumbered elimination
+    # gives the natural-order Fraction elimination's solutions and
+    # nullspace basis.
+    cols, targets = lee_942_j_system
+    sols = q_solve(cols, targets)
+    assert None not in sols and sols == _ref_solve(cols, targets)
+    assert q_nullspace(cols) == _ref_nullspace(cols)
+
+
+def _pivot_entries(vecs):
+    ech = QEchelon()
+    for vec in vecs:
+        ech.add(vec)
+    return sum(len(piv) for piv, _ in ech.pivots.values())
+
+
+def test_first_column_row_order_cuts_fill(lee_942_j_system):
+    # [DERIVED] numbering rows by the column that first reaches them keeps
+    # at most half the pivot entries of the cube's own row numbering on
+    # 9_42's Lee d_{-1} (4,689 against 20,003).
+    cols, _ = lee_942_j_system
+    natural = _pivot_entries([_integral(col)[0] for col in cols])
+    renumbered = _pivot_entries([vec for vec, _ in _renumbered(cols)[1]])
+    assert 2 * renumbered <= natural
 
 
 def test_diagonal_form_against_sympy():

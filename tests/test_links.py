@@ -8,6 +8,7 @@ Tag key used across the test suite:
 
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -352,12 +353,15 @@ def _outcome(f, *args):
 
 
 def _reference_parse(text):
+    """The crossings, once their faces are traced: the diagram's own
+    planarity check, run on construction, is the one under test."""
     quads = [tuple(int(x) for x in q.split(","))
              for q in text.replace("X(", "").split(")") if q.strip()]
-    d = OrientedLinkDiagram(_derive_over_entries(quads))
-    for piece in _reference_pieces(d):
-        _reference_faces(d, piece)
-    return d
+    crossings = sorted(_derive_over_entries(quads), key=lambda c: c.quad)
+    raw = SimpleNamespace(crossings=crossings, n_crossings=len(crossings))
+    for piece in _reference_pieces(raw):
+        _reference_faces(raw, piece)
+    return crossings
 
 
 def _parity_corpus():
@@ -419,6 +423,7 @@ def test_random_pd_outcomes_match_face_tracing():
             assert new is ref, text
             kinds.add(ref)
             continue
+        ref = OrientedLinkDiagram(ref)  # planar, so construction passes
         assert serialize_pd(new) == serialize_pd(ref)
         assert _outcome(oriented_resolution, new) == \
             _outcome(_reference_oriented_resolution, ref), text
@@ -428,8 +433,9 @@ def test_random_pd_outcomes_match_face_tracing():
 
 def test_direct_nonplanar_diagram_rejected():
     # [TRIVIAL] a diagram built without parse_pd is checked for planarity
-    # when its oriented resolution is taken.
-    d = OrientedLinkDiagram([Crossing((1, 2, 3, 4), 1),
-                             Crossing((3, 4, 1, 2), 1)])
+    # when it is constructed, so no later stage sees it.
+    crossings = [Crossing((1, 2, 3, 4), 1), Crossing((3, 4, 1, 2), 1)]
     with pytest.raises(NonPlanarError):
-        oriented_resolution(d)
+        OrientedLinkDiagram(crossings)
+    with pytest.raises(NonPlanarError):
+        OrientedLinkDiagram(crossings, 1, [False, True, False])
