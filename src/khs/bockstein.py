@@ -1,10 +1,10 @@
 """Sq¹ on mod-2 Khovanov homology as the integral Bockstein.
 
-Computed by the lift–divide method: a mod-2 cycle is lifted to an integral
-chain with 0/1 coefficients in the *same* generator basis (the cube
-ordering is the interface contract with :mod:`khs.cube`), its integral
-boundary is asserted to be exactly divisible by 2, and the class of the
-halved boundary mod 2 is the Bockstein image.
+Computed by the lift–divide method on one decomposed integral q-slice: a
+mod-2 homology basis of the reduced slice is lifted to integral chains
+with 0/1 coefficients in the reduced slice's own generator basis, their
+integral boundary is asserted to be exactly divisible by 2, and the class
+of the halved boundary mod 2 is the Bockstein image.
 """
 
 from __future__ import annotations
@@ -14,13 +14,15 @@ from dataclasses import dataclass
 from . import linalg
 from .complexes import (
     Column,
+    DecomposedComplex,
     FilteredComplex,
     apply,
     class_coords,
+    filtered_reduce,
     homology_reps,
-    q_slice,
+    q_slices,
 )
-from .cube import CubeComplex, build_complex
+from .cube import build_complex
 from .links import OrientedLinkDiagram
 
 
@@ -46,11 +48,14 @@ def bockstein_chain(cx_z: FilteredComplex, h: int, cycle: Column) -> Column:
 
 @dataclass
 class BocksteinMap:
-    """Sq¹: Kh^{i−1,q}(𝔽₂) → Kh^{i,q}(𝔽₂) in chosen homology bases."""
+    """Sq¹: Kh^{i−1,q}(𝔽₂) → Kh^{i,q}(𝔽₂) of one reduced ℤ slice: the
+    mod-2 homology basis ``sources`` at degree i−1, their Bockstein chains
+    ``images`` at degree i (both in the reduced slice's basis), and one
+    target-coordinate vector per source in ``matrix``."""
 
-    i: int
-    q: int
-    matrix: list[list[int]]  # one target-coordinate vector per source basis
+    sources: list[Column]
+    images: list[Column]
+    matrix: list[list[int]]
 
     @property
     def rank(self) -> int:
@@ -58,31 +63,26 @@ class BocksteinMap:
             [sum(b << k for k, b in enumerate(row)) for row in self.matrix])
 
 
-def sq1(cube_z: CubeComplex, i: int, q: int) -> BocksteinMap:
-    """The Bockstein map into bidegree (i, q)."""
-    cx_z = cube_z.complex
-    sl, keep = q_slice(FilteredComplex("gf2", cx_z.levels, cx_z.diff), q)
-    src = homology_reps(sl, i - 1)
-    target_reps = homology_reps(sl, i)
-    back_src = keep.get(i - 1, [])
-    pos_tgt = {g: k for k, g in enumerate(keep.get(i, []))}
-    images = [bockstein_chain(cx_z, i - 1, {back_src[j]: 1 for j in r})
-              for r in src]
-    matrix = class_coords(sl, i, target_reps,
-                          [{pos_tgt[g]: 1 for g in w} for w in images])
+def sq1(zdec: DecomposedComplex, i: int) -> BocksteinMap:
+    """The Bockstein map into degree i of one integral q-slice, given as
+    its :func:`filtered_reduce` (or, for the naive path, ``unreduced``)."""
+    zred = zdec.reduced
+    f2 = FilteredComplex("gf2", zred.levels, zred.diff)
+    sources = homology_reps(f2, i - 1)
+    images = [bockstein_chain(zred, i - 1, r) for r in sources]
+    matrix = class_coords(f2, i, homology_reps(f2, i), images)
     if None in matrix:
         raise AssertionError("Sq¹ output is not a cycle in its slice")
-    return BocksteinMap(i, q, matrix)
+    return BocksteinMap(sources, images, matrix)
 
 
 def sq1_table(d: OrientedLinkDiagram) -> dict[tuple[int, int], int]:
-    """Rank of Sq¹ into every bidegree (i, q) where it can be nonzero."""
-    cube_z = build_complex(d, "khovanov", "Z")
+    """Rank of Sq¹ into every bidegree (i, q) where it is nonzero, in
+    increasing (i, q)."""
     out = {}
-    for h in cube_z.complex.degrees():
-        qs = sorted(set(cube_z.complex.levels[h]))
-        for q in qs:
-            r = sq1(cube_z, h + 1, q).rank
-            if r:
+    for q, sl, _ in q_slices(build_complex(d, "khovanov", "Z").complex):
+        zdec = filtered_reduce(sl)
+        for h in zdec.reduced.degrees():
+            if r := sq1(zdec, h + 1).rank:
                 out[(h + 1, q)] = r
-    return out
+    return dict(sorted(out.items()))

@@ -51,7 +51,7 @@ class FilteredComplex:
 
     def _int_matrix(self, h: int) -> list[list[int]]:
         """Dense transpose of d_h: one list per generator of C^h, indexed
-        by C^{h+1} (rank and diagonal forms do not see the transpose)."""
+        by C^{h+1} (a diagonal form does not see the transpose)."""
         n = self.dim(h + 1)
         mat = []
         for col in self.columns(h):
@@ -61,18 +61,14 @@ class FilteredComplex:
             mat.append(dense)
         return mat
 
-    def rank_d(self, h: int) -> int:
-        if self.dim(h) == 0 or self.dim(h + 1) == 0:
-            return 0
-        return self.ops.rank(self.columns(h))
-
     # -- homology -------------------------------------------------------------
 
     def betti(self, h: int) -> int:
         """dim ker(d_h) − rank(d_{h−1}) over the coefficient field."""
         if self.ring == "Z":
             raise ValueError("betti is for field coefficients")
-        return self.dim(h) - self.rank_d(h) - self.rank_d(h - 1)
+        rank = self.ops.rank
+        return self.dim(h) - rank(self.columns(h)) - rank(self.columns(h - 1))
 
     def homology_field(self) -> dict[int, int]:
         return {h: b for h in self.degrees() if (b := self.betti(h))}
@@ -81,17 +77,16 @@ class FilteredComplex:
         """Per degree: (free rank, prime-power torsion orders)."""
         if self.ring != "Z":
             raise ValueError("integral homology needs ring='Z'")
+        # one diagonal form per d_h: its length is rank d_h, and read as
+        # d_in at degree h+1 it gives the torsion there
+        diag = {h: linalg.diagonal_form(self._int_matrix(h))
+                for h in self.degrees()}
         out = {}
-        prev_h, d_prev = None, []
         for h in self.degrees():
-            # each dense d_h is built once: d_out here, d_in at degree h+1
-            d_in = d_prev if prev_h == h - 1 else self._int_matrix(h - 1)
-            d_out = self._int_matrix(h)
-            rank_out = linalg.int_rank(d_out) if self.dim(h + 1) else 0
-            free, tors = linalg.integer_homology_summands(d_in, rank_out, self.dim(h))
+            free, tors = linalg.integer_homology_summands(
+                diag.get(h - 1, []), len(diag[h]), self.dim(h))
             if free or tors:
                 out[h] = (free, tors)
-            prev_h, d_prev = h, d_out
         return out
 
     # -- filtration-aware structure -------------------------------------------
@@ -213,7 +208,7 @@ def class_coords(cx: FilteredComplex, h: int, reps: list[Column],
     ops = cx.ops
     zero, n = ops.coeff(0), len(reps)
     return [None if sol is None else [sol.get(k, zero) for k in range(n)]
-            for sol in ops.solve(reps + cx.columns(h - 1), cycles, cx.dim(h))]
+            for sol in ops.solve(reps + cx.columns(h - 1), cycles)]
 
 
 @dataclass

@@ -14,7 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .complexes import Coeff, Column, FilteredComplex, apply
+from .complexes import (
+    Coeff,
+    Column,
+    FilteredComplex,
+    apply,
+    filtered_reduce,
+    q_slices,
+    unreduced,
+)
 from .links import (
     OrientedLinkDiagram,
     oriented_resolution,
@@ -236,8 +244,6 @@ def khovanov_homology(d: OrientedLinkDiagram, ring: str = "Z",
     running the per-slice rank / diagonal form computations; the naive
     path (``optimized=False``, the oracle) cancels nothing.
     """
-    from .complexes import filtered_reduce, q_slices, unreduced
-
     reduce = filtered_reduce if optimized else unreduced
     cube = build_complex(d, "khovanov", ring)
     entries: dict[tuple[int, int], tuple[int, list[int]]] = {}

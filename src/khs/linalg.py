@@ -316,22 +316,20 @@ def _prime_power_parts(n: int) -> list[int]:
     return parts
 
 
-def integer_homology_summands(d_in: list[list[int]], rank_out: int,
+def integer_homology_summands(diag_in: list[int], rank_out: int,
                               dim: int) -> tuple[int, list[int]]:
     """Homology at a free abelian group of rank ``dim``.
 
-    ``d_in`` is the dense matrix of the incoming boundary map (its image
-    lies in the middle group) or its transpose, which has the same diagonal
-    forms; ``rank_out`` is the rank of the outgoing boundary map.
-    Since im(d_in) is contained in ker(d_out) and the torsion of the
-    quotient C/im(d_in) already lies in ker(d_out), the torsion of the
-    homology equals the torsion of coker(d_in).
+    ``diag_in`` is the :func:`diagonal_form` of the incoming boundary map
+    d_in (its image lies in the middle group); ``rank_out`` is the rank of
+    the outgoing boundary map.  Since im(d_in) is contained in ker(d_out)
+    and the torsion of the quotient C/im(d_in) already lies in ker(d_out),
+    the torsion of the homology equals the torsion of coker(d_in).
 
     Returns (free rank, sorted prime-power torsion orders).
     """
-    diag = diagonal_form(d_in)
-    torsion = [pk for d in diag for pk in _prime_power_parts(d)]
-    return dim - len(diag) - rank_out, sorted(torsion)
+    torsion = [pk for d in diag_in for pk in _prime_power_parts(d)]
+    return dim - len(diag_in) - rank_out, sorted(torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +390,13 @@ class _GF2:
     def rank(self, cols: list[dict]) -> int:
         return gf2_rank([self._mask(c) for c in cols])
 
-    def solve(self, cols: list[dict], targets: list[dict],
-              n_rows: int) -> list[dict[int, int] | None]:
+    def solve(self, cols: list[dict],
+              targets: list[dict]) -> list[dict[int, int] | None]:
         """Per target, one λ with Σ λ_k·cols[k] = target, as ``{k: 1}``, or
-        None."""
-        rows = gf2_from_columns([self._mask(c) for c in cols], n_rows)
+        None (also when the target reaches a row that no column reaches)."""
+        masks = [self._mask(c) for c in cols]
+        rows = gf2_from_columns(masks, max(masks, default=0).bit_length())
+        del masks  # as large as ``rows``; gf2_solve builds its own columns
         sols = [gf2_solve(rows, len(cols), self._mask(t)) for t in targets]
         return [None if sol is None else self._col(sol) for sol in sols]
 
@@ -433,8 +433,8 @@ class _Q:
     def rank(self, cols: list[dict]) -> int:
         return q_rank(cols)
 
-    def solve(self, cols: list[dict], targets: list[dict],
-              n_rows: int) -> list[QRow | None]:
+    def solve(self, cols: list[dict],
+              targets: list[dict]) -> list[QRow | None]:
         """Per target, one λ with Σ λ_k·cols[k] = target, or None."""
         return q_solve(cols, targets)
 

@@ -33,7 +33,6 @@ from . import linalg
 from .bockstein import bockstein_chain, sq1
 from .complexes import (
     Column,
-    FilteredComplex,
     SublevelHomology,
     apply,
     class_coords,
@@ -217,17 +216,16 @@ class _Pipeline:
         out: list[tuple[Column, list]] = []
         if zsl.dim(-1) and zsl.dim(0):
             zdec = self.reduce(zsl)
-            zred = zdec.reduced
-            f2 = FilteredComplex("gf2", zred.levels, zred.diff)
+            bm = sq1(zdec, 0)
             back_src, back_tgt = zkeep.get(-1, []), zkeep.get(0, [])
             gcx, gkeep, greps = self.gr(q)
             gpos = {g: k for k, g in enumerate(gkeep.get(0, []))}
             us, images = [], []
-            for rep in homology_reps(f2, -1):
+            for rep, img in zip(bm.sources, bm.images):
                 # lift the mod-2 chains through the integral reduction and
                 # keep their odd entries
                 u_loc = lift_chain(zdec, -1, rep)
-                w_loc = lift_chain(zdec, 0, bockstein_chain(zred, -1, rep))
+                w_loc = lift_chain(zdec, 0, img)
                 us.append({back_src[k]: 1 for k, v in u_loc.items() if v % 2})
                 w_orig = {back_tgt[k]: 1 for k, v in w_loc.items() if v % 2}
                 # the image in the gr basis of the working complex
@@ -245,8 +243,8 @@ class _Pipeline:
     # -- the fullness linear systems -----------------------------------------
 
     def _system(self, q: int, mode: str):
-        """Columns of the witness system over (a_k | c_m), the number of
-        a_k, and the row count; built once per (q, mode).
+        """Columns of the witness system over (a_k | c_m) and the number
+        of a_k; built once per (q, mode).
 
         Rows 0..nfull−1 are coordinates in the degree-0 homology basis
         (the j-condition), rows nfull.. are coordinates in the gr-homology
@@ -265,21 +263,20 @@ class _Pipeline:
         if mode == "sq1":
             cols += [{nfull + g: -v for g, v in enumerate(coords) if v}
                      for _, coords in self.theta_data(q)]
-        n_rows = nfull + ngr
-        self._system_cache[key] = cols, n_a, n_rows
-        return cols, n_a, n_rows
+        self._system_cache[key] = cols, n_a
+        return cols, n_a
 
     def v_dim(self, q: int, mode: str) -> int:
         """dim of the achievable (α, β) subspace of W at level q."""
-        cols, _, _ = self._system(q, mode)
+        cols, _ = self._system(q, mode)
         return 2 - len(self.ops.independent(cols, self.w))
 
     def witness(self, q: int, targets: list[tuple], mode: str):
         """(α, β, a_k, c_m) for the first (α, β) of ``targets`` whose
         α[𝔰_𝔬] + β[𝔰_𝔬̄] level q hits, or None; one solve for all."""
-        cols, n_a, n_rows = self._system(q, mode)
+        cols, n_a = self._system(q, mode)
         sols = self.ops.solve(cols, [apply(self.w, {0: al, 1: be})
-                                     for al, be in targets], n_rows)
+                                     for al, be in targets])
         for (alpha, beta), sol in zip(targets, sols):
             if sol is not None:
                 return (alpha, beta,
@@ -294,7 +291,7 @@ class _Pipeline:
         subspace of W, so greedily collecting independent ones realizes
         its full dimension.
         """
-        cols, n_a, _ = self._system(q, mode)
+        cols, n_a = self._system(q, mode)
         # homogeneous system in (α, β, a, c):  α w_o + β w_ob − Σ a… − Σ c… = 0
         neg = ({i: -v for i, v in c.items()} for c in cols)
         out = []
@@ -323,7 +320,7 @@ class _Pipeline:
         # j-condition: d(y) = x − α·𝔰_𝔬 − β·𝔰_𝔬̄ in the original cube
         ys = self.ops.solve(cx0.columns(-1), [
             apply([x, self.s_o_orig, self.s_ob_orig], {0: 1, 1: -al, 2: -be})
-            for x, (_, al, be, _, _) in zip(xs, wits.values())], cx0.dim(0))
+            for x, (_, al, be, _, _) in zip(xs, wits.values())])
         return {name: self.certificate(q, al, be, c, x, y, mode)
                 for (name, (q, al, be, _, c)), x, y
                 in zip(wits.items(), xs, ys)}
@@ -348,7 +345,7 @@ class _Pipeline:
             gcx0, gkeep0 = q_slice(cx0, q, (-1, 0))
             gpos = {g: k for k, g in enumerate(gkeep0.get(0, []))}
             xq_loc = {gpos[i]: v for i, v in xq.items()}
-            z_loc, = self.ops.solve(gcx0.columns(-1), [xq_loc], gcx0.dim(0))
+            z_loc, = self.ops.solve(gcx0.columns(-1), [xq_loc])
             if z_loc is None:
                 raise AssertionError(self._failure(
                     "p-condition witness solve failed", q))
@@ -462,8 +459,9 @@ def sq1_vanishing_hypothesis(t: OrientedLinkDiagram, s: int) -> bool:
     the 𝔽₂ s-invariant of T."""
     if t.component_count == 0:
         return True
-    cube_z = build_complex(t, "khovanov", "Z")
-    return all(sq1(cube_z, i, s - 1).rank == 0 for i in (0, 1))
+    zsl, _ = q_slice(build_complex(t, "khovanov", "Z").complex, s - 1)
+    zdec = filtered_reduce(zsl)
+    return all(sq1(zdec, i).rank == 0 for i in (0, 1))
 
 
 def disjoint_union_check(left: OrientedLinkDiagram,

@@ -1,9 +1,22 @@
 """The Bockstein Sq¹ on Khovanov homology over GF(2)."""
 
 from khs.bockstein import bockstein_chain, sq1, sq1_table
-from khs.complexes import FilteredComplex
+from khs.complexes import (
+    FilteredComplex,
+    filtered_reduce,
+    q_slice,
+    q_slices,
+    unreduced,
+)
 from khs.cube import build_complex, khovanov_homology
-from khs.links import TorusLinkSpec, hopf_link, torus_link, trefoil, unknot
+from khs.links import (
+    TorusLinkSpec,
+    braid_closure,
+    hopf_link,
+    torus_link,
+    trefoil,
+    unknot,
+)
 from khs.tables import knot_9_42
 
 
@@ -52,19 +65,18 @@ def test_trefoil_sq1_location():
 def test_sq1_squared_zero():
     # [DERIVED] Sq¹ ∘ Sq¹ = 0: the image coordinates of Sq¹ out of im Sq¹
     # vanish. Checked on a link with rich torsion.
-    d = knot_9_42()
-    cube_z = build_complex(d, "khovanov", "Z")
-    cx = cube_z.complex
+    cube_z = build_complex(knot_9_42(), "khovanov", "Z")
     checked = 0
-    for h in cx.degrees():
-        for q in sorted(set(cx.levels[h])):
-            m1 = sq1(cube_z, h + 1, q)
+    for _, sl, _ in q_slices(cube_z.complex):
+        zdec = filtered_reduce(sl)
+        for h in zdec.reduced.degrees():
+            m1 = sq1(zdec, h + 1)
             if not any(any(row) for row in m1.matrix):
                 continue
             # source reps of the next Bockstein are the deterministic
             # homology basis, which equals m1's target basis, so the
             # composite is a matrix product over GF(2).
-            m2 = sq1(cube_z, h + 2, q)
+            m2 = sq1(zdec, h + 2)
             for row in m1.matrix:
                 acc = [0] * (len(m2.matrix[0]) if m2.matrix else 0)
                 for k, bit in enumerate(row):
@@ -80,5 +92,24 @@ def test_bockstein_chain_is_mod2_cycle():
     # [TRIVIAL] sq1() asserts internally that outputs are slice cycles; a
     # successful construction at the trefoil's torsion spot has rank 1.
     cube_z = build_complex(trefoil(), "khovanov", "Z")
-    m = sq1(cube_z, 3, 7)
+    m = sq1(filtered_reduce(q_slice(cube_z.complex, 7)[0]), 3)
     assert m.rank == 1
+
+
+def test_sq1_rank_naive_equals_reduced():
+    # [DERIVED] Sq¹ is a map on homology, so its rank does not depend on
+    # the model of the slice: the unreduced q-slice (naive) and its jump-0
+    # reduction agree at every bidegree.
+    links = [knot_9_42(), torus_link(TorusLinkSpec(3, 1)), trefoil(),
+             braid_closure(3, [1, 1, -2, 1, -2, -2, -2]),
+             braid_closure(3, [1, -2, -2, 1, 1, -2, 1])]
+    checked = nonzero = 0
+    for d in links:
+        for _, sl, _ in q_slices(build_complex(d, "khovanov", "Z").complex):
+            naive, reduced = unreduced(sl), filtered_reduce(sl)
+            for i in sl.degrees():
+                rank = sq1(naive, i).rank
+                assert rank == sq1(reduced, i).rank
+                checked += 1
+                nonzero += rank > 0
+    assert checked == 166 and nonzero == 19

@@ -559,18 +559,21 @@ def test_int_rank():
 
 
 def test_integer_homology_summands():
-    # [DERIVED] H = ker/im with d_in diagonal is the sum of the Z/n, split
-    # into prime powers: multiplication by 2 on Z gives rank 0 and torsion
-    # [2], Z/6 = Z/2 + Z/3, Z/12 = Z/3 + Z/4, and Z/4 stays whole.
+    # [DERIVED] H = ker/im, given the diagonal form of d_in, is the sum of
+    # the Z/n, split into prime powers: multiplication by 2 on Z gives rank
+    # 0 and torsion [2], Z/6 = Z/2 + Z/3, Z/12 = Z/3 + Z/4, and Z/4 stays
+    # whole; a unit adds no torsion.
     cases = [
-        (([[2]], 0, 1), (0, [2])),
+        (([2], 0, 1), (0, [2])),
         (([], 0, 1), (1, [])),
-        (([[6]], 0, 1), (0, [2, 3])),
-        (([[4]], 0, 1), (0, [4])),
-        (([[12]], 0, 1), (0, [3, 4])),
-        (([[2, 0], [0, 3]], 0, 2), (0, [2, 3])),
-        # a zero row of d_in adds nothing; the second generator stays free
-        (([[0, 0], [6, 0]], 0, 2), (1, [2, 3])),
+        (([6], 0, 1), (0, [2, 3])),
+        (([4], 0, 1), (0, [4])),
+        (([12], 0, 1), (0, [3, 4])),
+        (([2, 3], 0, 2), (0, [2, 3])),
+        # a rank-1 d_in into rank 2 leaves the second generator free
+        (([6], 0, 2), (1, [2, 3])),
+        # the rank of d_out comes off the free part
+        (([1, 2], 1, 4), (1, [2])),
     ]
     for args, expect in cases:
         assert integer_homology_summands(*args) == expect

@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from khs.bockstein import sq1
-from khs.complexes import q_slice
+from khs.complexes import q_slice, unreduced
 from khs.cube import build_complex
 from khs.linalg import GF2
 from khs.links import (
@@ -372,9 +372,10 @@ def test_fullness_monotone_in_q():
 def test_theta_rank_matches_unreduced_bockstein(optimized):
     # [DERIVED] theta_data(q) lifts Sq¹ through reduced integral slices
     # and writes it in the gr-homology basis of the Bar-Natan complex,
-    # which at level q is the mod-2 Khovanov complex; bockstein.sq1 works
-    # on the unreduced q-slice.  Both are Sq¹: Kh^{-1,q} → Kh^{0,q}, so
-    # their ranks agree at every level of degrees −1 and 0.
+    # which at level q is the mod-2 Khovanov complex; the reference here
+    # is bockstein.sq1 on the unreduced integral q-slice.  Both are Sq¹:
+    # Kh^{-1,q} → Kh^{0,q}, so their ranks agree at every level of
+    # degrees −1 and 0.
     links = {name: builtin_diagram(name) for name in
              ("unknot", "trefoil", "trefoil_mirror", "hopf", "hopf_neg",
               "torus:3:0", "torus:3:1", "9_42")}
@@ -388,7 +389,8 @@ def test_theta_rank_matches_unreduced_bockstein(optimized):
             cols = [{g: v for g, v in enumerate(coords) if v}
                     for _, coords in pipe.theta_data(q)]
             rank = GF2.rank(cols)
-            assert rank == sq1(pipe.cube_z, 0, q).rank, (name, q)
+            zsl = q_slice(pipe.cube_z.complex, q)[0]
+            assert rank == sq1(unreduced(zsl), 0).rank, (name, q)
             if rank:
                 nonzero[name, q] = rank
     assert nonzero == {("9_42", 1): 1, ((1, 1, -2, 1, -2, -2, -2), -2): 2,
@@ -410,6 +412,17 @@ def test_disjoint_union_additivity():
             assert rep.hypothesis_ok
             assert rep.equality is True
             assert rep.s_plus_union == rep.s_plus_left + rep.s_plus_right - 1
+
+
+def test_disjoint_union_flags_a_failed_vanishing_hypothesis():
+    # [DERIVED] T, the closure of σ₁σ₁σ₂⁻¹σ₁σ₂⁻¹σ₂⁻¹σ₂⁻¹, has 2 components,
+    # s = −1 over 𝔽₂, and Sq¹ of rank 2 into (0, −2) = (0, s − 1), so the
+    # hypothesis fails and the union is not computed.
+    t = braid_closure(3, [1, 1, -2, 1, -2, -2, -2])
+    assert t.component_count == 2 and s_classical(t, char=2) == -1
+    rep = disjoint_union_check(unknot(), t)
+    assert rep.hypothesis_ok is False
+    assert rep.s_plus_union is None and rep.equality is None
 
 
 def test_adjunction_bound_arithmetic():
