@@ -4,9 +4,11 @@ A crossing is stored as a quadruple of arc labels listed in rotational
 order around the crossing, starting at the arc on which the under-strand
 enters (with respect to the diagram's base orientation).  The strand
 occupying slots 0 and 2 passes under; the strand occupying slots 1 and 3
-passes over.  Per-component boolean flags reverse components relative to
-the base orientation, so arbitrary orientation assignments (e.g. torus
-links with some strands reversed) need no re-encoding of the quadruples.
+passes over.  The over-strand's entry slot is derived by one walk along
+the strands of the sorted PD code, and checked when a diagram is built.
+Per-component boolean flags reverse components relative to the base
+orientation, so arbitrary orientation assignments (e.g. torus links with
+some strands reversed) need no re-encoding of the quadruples.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ class NonPlanarError(PDError):
 @dataclass(frozen=True)
 class Crossing:
     quad: tuple[int, int, int, int]
-    over_in: int  # 1 or 3: slot where the over-strand enters (base orientation)
+    # 1 or 3: the over-strand's entry slot, derived by _strands and checked
+    over_in: int
 
 
 def _union(parent: dict, a, b) -> None:
@@ -69,8 +72,13 @@ class OrientedLinkDiagram:
             raise PDError(
                 f"free loop count must be >= 0, got {self.free_loops}")
         self.crossings = sorted(self.crossings, key=lambda c: c.quad)
-        self._validate_arcs()
-        self._label_components()
+        quads = [c.quad for c in self.crossings]
+        self._arc_ends = _arc_ends(quads)
+        comps, over = _strands(quads, self._arc_ends)
+        if [c.over_in for c in self.crossings] != over:
+            raise PDError(f"over_in slots differ from the strands' {over}")
+        self.arc_component = {a: i for i, comp in enumerate(comps) for a in comp}
+        self.component_count = len(comps) + self.free_loops
         if not self.component_orientations:
             self.component_orientations = [False] * self.component_count
         if len(self.component_orientations) != self.component_count:
@@ -80,27 +88,6 @@ class OrientedLinkDiagram:
             )
         # checkerboard colour of each crossing; raises NonPlanarError
         self._colour = _checkerboard(self)
-
-    # -- construction helpers -------------------------------------------------
-
-    def _validate_arcs(self) -> None:
-        for c in self.crossings:
-            if c.over_in not in (1, 3):
-                raise PDError(f"over_in must be 1 or 3, got {c.over_in}")
-        self._arc_ends = _arc_ends([c.quad for c in self.crossings])
-        self._arcs = sorted(self._arc_ends)
-
-    def _label_components(self) -> None:
-        parent: dict[int, int] = {}
-        for c in self.crossings:
-            _union(parent, c.quad[0], c.quad[2])
-            _union(parent, c.quad[1], c.quad[3])
-        reps: dict[int, list[int]] = {}
-        for a in self._arcs:
-            reps.setdefault(_find(parent, a), []).append(a)
-        comps = sorted(reps.values(), key=min)
-        self.arc_component = {a: i for i, comp in enumerate(comps) for a in comp}
-        self.component_count = len(comps) + self.free_loops
 
     # -- basic queries ---------------------------------------------------------
 
@@ -145,40 +132,27 @@ class OrientedLinkDiagram:
     # -- diagram operations ----------------------------------------------------
 
     def mirror(self) -> "OrientedLinkDiagram":
-        new = []
-        for c in self.crossings:
-            q = c.quad
-            if c.over_in == 3:
-                new.append(Crossing((q[3], q[0], q[1], q[2]), 1))
-            else:
-                new.append(Crossing((q[1], q[2], q[3], q[0]), 3))
-        return OrientedLinkDiagram(new, self.free_loops,
+        """Swap over and under everywhere.  A component passing only under
+        may come out reversed; it is a split unknot, so that is an isotopy."""
+        quads = [c.quad[c.over_in:] + c.quad[:c.over_in] for c in self.crossings]
+        return OrientedLinkDiagram(_crossings(quads), self.free_loops,
                                    list(self.component_orientations))
 
     def with_orientations(self, flags: Sequence[bool]) -> "OrientedLinkDiagram":
         return OrientedLinkDiagram(list(self.crossings), self.free_loops, list(flags))
 
     def disjoint_union(self, other: "OrientedLinkDiagram") -> "OrientedLinkDiagram":
-        offset = (max(self._arcs) if self._arcs else 0) + 1
+        # other's arcs are shifted above ours, so the union's components are
+        # our arc components, then other's, then our and other's free loops
+        offset = max(self.arc_component, default=0) + 1
         shifted = [Crossing(tuple(a + offset for a in c.quad), c.over_in)
                    for c in other.crossings]
-        # Component order of the union interleaves by smallest arc label, so
-        # permute the orientation flags accordingly.
-        merged = OrientedLinkDiagram(list(self.crossings) + shifted,
-                                     self.free_loops + other.free_loops)
-        flags = [False] * merged.component_count
-        for a, comp in self.arc_component.items():
-            flags[merged.arc_component[a]] = self.component_orientations[comp]
-        for a, comp in other.arc_component.items():
-            flags[merged.arc_component[a + offset]] = other.component_orientations[comp]
-        n1 = len(set(self.arc_component.values()))
-        n2 = len(set(other.arc_component.values()))
-        for i in range(self.free_loops):
-            flags[n1 + n2 + i] = self.component_orientations[n1 + i]
-        for i in range(other.free_loops):
-            flags[n1 + n2 + self.free_loops + i] = other.component_orientations[n2 + i]
-        merged.component_orientations = flags
-        return merged
+        f1, f2 = self.component_orientations, other.component_orientations
+        n1 = self.component_count - self.free_loops
+        n2 = other.component_count - other.free_loops
+        return OrientedLinkDiagram(list(self.crossings) + shifted,
+                                   self.free_loops + other.free_loops,
+                                   f1[:n1] + f2[:n2] + f1[n1:] + f2[n2:])
 
 
 # -- parsing / serialization --------------------------------------------------
@@ -220,8 +194,7 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
         if len(nums) != 4:
             raise PDError(f"malformed quadruple X({m.group(1)})")
         quads.append(tuple(nums))
-    crossings = _derive_over_entries(quads)
-    d = OrientedLinkDiagram(crossings, free_loops)
+    d = OrientedLinkDiagram(_crossings(quads), free_loops)
     if reversed_comps:
         flags = [False] * d.component_count
         for i in reversed_comps:
@@ -245,50 +218,46 @@ def _arc_ends(quads: Sequence[Sequence[int]]) -> dict[int, list[tuple[int, int]]
     return ends
 
 
-def _derive_over_entries(quads: list[tuple[int, int, int, int]]) -> list[Crossing]:
-    """Derive over-strand entry slots from the slot-0/slot-2 direction rule.
+def _strands(quads: Sequence[tuple[int, int, int, int]], ends: dict
+             ) -> tuple[list[list[int]], list[int]]:
+    """Walk the strands of ``quads``, whose arc ends are ``ends``.
 
-    Each arc occurrence at some (crossing, slot) is either an entry into or an
-    exit out of the crossing; slot 0 is an entry and slot 2 an exit by the PD
-    convention, and every arc has exactly one entry and one exit occurrence.
+    A strand enters a crossing at slot s and leaves it at slot s+2.  Walks
+    start at every under-entry (slot 0), then, for each component that
+    never passes under, at slot 1 of its first crossing in ``quads`` order.
+    Returns the components as sorted arc lists, in order of their least
+    arc, and each crossing's over-entry slot.
     """
-    ends = _arc_ends(quads)
+    n = len(quads)
+    under = [False] * n
+    over: list[int | None] = [None] * n
+    comps = []
+    for start in [(ci, 0) for ci in range(n)] + [(ci, 1) for ci in range(n)]:
+        if (over if start[1] else under)[start[0]]:
+            continue
+        arcs, (ci, s) = [], start
+        while True:
+            if s == 0:
+                under[ci] = True
+            elif s == 2 or over[ci] not in (None, s):
+                raise PDError("inconsistent orientation data in PD code")
+            else:
+                over[ci] = s
+            t = (s + 2) % 4
+            arcs.append(quads[ci][t])
+            e1, e2 = ends[arcs[-1]]
+            ci, s = e2 if e1 == (ci, t) else e1
+            if (ci, s) == start:
+                break
+        comps.append(sorted(arcs))
+    return sorted(comps), over
 
-    # inbound[(ci, slot)] = True if the arc there is directed into the crossing
-    inbound: dict[tuple[int, int], bool] = {}
 
-    def assign(pos: tuple[int, int], val: bool) -> None:
-        stack = [(pos, val)]
-        while stack:
-            (ci, slot), v = stack.pop()
-            cur = inbound.get((ci, slot))
-            if cur is not None:
-                if cur != v:
-                    raise PDError("inconsistent orientation data in PD code")
-                continue
-            inbound[(ci, slot)] = v
-            # the arc's other occurrence has the opposite in/out status
-            a = quads[ci][slot]
-            for pos2 in ends[a]:
-                if pos2 != (ci, slot):
-                    stack.append((pos2, not v))
-            # over-strand slots of one crossing are one entry, one exit
-            if slot in (1, 3):
-                stack.append(((ci, 4 - slot), not v))
-
-    for ci, q in enumerate(quads):
-        assign((ci, 0), True)
-        assign((ci, 2), False)
-    # components that never pass under: orient deterministically
-    for ci, q in enumerate(quads):
-        for slot in (1, 3):
-            if (ci, slot) not in inbound:
-                assign((ci, slot), slot == 1)
-    crossings = []
-    for ci, q in enumerate(quads):
-        over_in = 1 if inbound[(ci, 1)] else 3
-        crossings.append(Crossing(q, over_in))
-    return crossings
+def _crossings(quads: Iterable[tuple[int, int, int, int]]) -> list[Crossing]:
+    """Sorted crossings of PD quadruples, over-entries from :func:`_strands`."""
+    quads = sorted(quads)
+    _, over = _strands(quads, _arc_ends(quads))
+    return [Crossing(q, o) for q, o in zip(quads, over)]
 
 
 def serialize_pd(d: OrientedLinkDiagram) -> str:
@@ -368,8 +337,7 @@ def braid_closure(n_strands: int, word: Iterable[int],
     relabeled = [tuple(ident.get(a, a) for a in q) for q in quads]
     # positions never touched by the word close up into free loops
     untouched = [pos for pos in range(n_strands) if seg[pos] == start[pos]]
-    crossings = _derive_over_entries(relabeled)
-    d = OrientedLinkDiagram(crossings, len(untouched))
+    d = OrientedLinkDiagram(_crossings(relabeled), len(untouched))
     if d.component_count != len(set(_closure_components(n_strands, word))):
         raise AssertionError("braid closure has the wrong component count")
     flags = [False] * d.component_count
@@ -439,7 +407,7 @@ def resolution_circles(d: OrientedLinkDiagram, vertex: Sequence[int]):
             _union(parent, q[1], q[2])
             _union(parent, q[3], q[0])
     groups: dict[int, list[int]] = {}
-    for a in d._arcs:
+    for a in d.arc_component:
         groups.setdefault(_find(parent, a), []).append(a)
     circles = sorted([tuple(sorted(g)) for g in groups.values()])
     circles += [()] * d.free_loops

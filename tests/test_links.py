@@ -31,8 +31,9 @@ from khs.links import (
     trefoil,
     unknot,
 )
-from khs.links import _derive_over_entries, _find, _union
+from khs.links import _arc_ends, _crossings, _find, _union
 from khs.tables import BUILTIN_NAMES, builtin_diagram
+from tests.conftest import enumerate_braids
 
 
 def test_parse_roundtrip():
@@ -352,12 +353,46 @@ def _outcome(f, *args):
         return type(e)
 
 
+def _reference_over_entries(quads):
+    """Over-strand entry slots by constraint propagation: each arc end is
+    an entry or an exit, slot 0 is an entry and slot 2 an exit, an arc's
+    two ends differ, and so do a crossing's two over-slots.  A component
+    that never passes under enters slot 1 of its first crossing."""
+    ends = _arc_ends(quads)
+    inbound = {}
+
+    def assign(pos, val):
+        stack = [(pos, val)]
+        while stack:
+            (ci, slot), v = stack.pop()
+            cur = inbound.get((ci, slot))
+            if cur is not None:
+                if cur != v:
+                    raise PDError("inconsistent orientation data in PD code")
+                continue
+            inbound[(ci, slot)] = v
+            stack += [(p, not v) for p in ends[quads[ci][slot]]
+                      if p != (ci, slot)]
+            if slot in (1, 3):
+                stack.append(((ci, 4 - slot), not v))
+
+    for ci in range(len(quads)):
+        assign((ci, 0), True)
+        assign((ci, 2), False)
+    for ci in range(len(quads)):
+        for slot in (1, 3):
+            if (ci, slot) not in inbound:
+                assign((ci, slot), slot == 1)
+    return [1 if inbound[(ci, 1)] else 3 for ci in range(len(quads))]
+
+
 def _reference_parse(text):
     """The crossings, once their faces are traced: the diagram's own
     planarity check, run on construction, is the one under test."""
-    quads = [tuple(int(x) for x in q.split(","))
-             for q in text.replace("X(", "").split(")") if q.strip()]
-    crossings = sorted(_derive_over_entries(quads), key=lambda c: c.quad)
+    quads = sorted(tuple(int(x) for x in q.split(","))
+                   for q in text.replace("X(", "").split(")") if q.strip())
+    crossings = [Crossing(q, o)
+                 for q, o in zip(quads, _reference_over_entries(quads))]
     raw = SimpleNamespace(crossings=crossings, n_crossings=len(crossings))
     for piece in _reference_pieces(raw):
         _reference_faces(raw, piece)
@@ -429,6 +464,62 @@ def test_random_pd_outcomes_match_face_tracing():
             _outcome(_reference_oriented_resolution, ref), text
         kinds.add("planar")
     assert kinds == {"planar", PDError, NonPlanarError}
+
+
+def test_strand_walk_matches_the_reference_propagation():
+    # [DERIVED] on seeded random 1-5 crossing PD codes and on braid
+    # closures with shuffled crossings, _crossings gives the reference's
+    # over-entries on the sorted quads, or its exception class.
+    rng = random.Random(2424)
+    cases = []
+    for _ in range(4000):
+        n = rng.randint(1, 5)
+        labels = list(range(1, 2 * n + 1)) * 2
+        rng.shuffle(labels)
+        cases.append([tuple(labels[4 * i:4 * i + 4]) for i in range(n)])
+    for n, word in enumerate_braids(max_len=4):
+        quads = [c.quad for c in braid_closure(n, word).crossings]
+        rng.shuffle(quads)
+        cases.append(quads)
+    kinds = set()
+    for quads in cases:
+        new = _outcome(_crossings, quads)
+        ref = _outcome(_reference_over_entries, sorted(quads))
+        if not isinstance(new, type):
+            new = [(c.quad, c.over_in) for c in new]
+        if not isinstance(ref, type):
+            ref = list(zip(sorted(quads), ref))
+        assert new == ref, quads
+        kinds.add(ref if isinstance(ref, type) else "ok")
+    assert kinds == {"ok", PDError}
+
+
+def test_parse_pd_inverts_serialize_pd_in_any_crossing_order():
+    # [DERIVED] every closure of a 1-5 letter braid word on 2 or 3 strands,
+    # and its mirror, comes back from its PD text with the crossings
+    # shuffled: same crossings, over-entries, loops and orientation flags.
+    rng = random.Random(24)
+    diagrams = [d for n, word in enumerate_braids(max_len=5)
+                for d in (braid_closure(n, word),)
+                for d in (d, d.mirror())]
+    assert len(diagrams) == 2852
+    for d in diagrams:
+        body, bar, suffix = serialize_pd(d).partition("|")
+        parts = body.split()
+        rng.shuffle(parts)
+        e = parse_pd(" ".join(parts) + bar + suffix)
+        assert (e.crossings, e.free_loops, e.component_orientations) == \
+            (d.crossings, d.free_loops, d.component_orientations)
+
+
+def test_inconsistent_over_entry_rejected():
+    # [TRIVIAL] a crossing's over-entry is checked against its strands:
+    # the trefoil with one over-strand turned round is no diagram (its
+    # Jones polynomial would have even exponents, which no knot has).
+    cs = list(trefoil().crossings)
+    cs[0] = Crossing(cs[0].quad, 4 - cs[0].over_in)
+    with pytest.raises(PDError):
+        OrientedLinkDiagram(cs)
 
 
 def test_direct_nonplanar_diagram_rejected():

@@ -14,6 +14,7 @@ from khs.links import (
     braid_closure,
     empty_link,
     hopf_link,
+    parse_pd,
     torus_link,
     trefoil,
     unknot,
@@ -164,6 +165,18 @@ def test_certificates_validate():
         for cert in res.certificates.values():
             if cert is not None:
                 assert validate_certificate(d, cert)
+
+
+def test_certificates_validate_on_the_printed_link():
+    # [DERIVED] the link id that compute prints re-parses to the diagram
+    # the certificates were made on, even when the PD text lists the
+    # crossings of a component that never passes under out of order.
+    d = parse_pd("X(4,3,1,2) X(1,3,4,2)")
+    for theta, char in ((SQ1, 2), (ZERO, 0)):
+        res = refined_invariants(d, theta, char=char)
+        certs = [c for c in res.certificates.values() if c is not None]
+        assert len(certs) == 2
+        assert all(validate_certificate(parse_pd(res.link), c) for c in certs)
 
 
 def test_tampered_certificate_rejected():
