@@ -84,11 +84,19 @@ def cmd_compute(args) -> int:
     if args.oracle:
         naive_table = khovanov_homology(d, ring="Z", optimized=False)
         if naive_table.entries != table.entries:
-            raise AssertionError("oracle mismatch: homology table")
+            h, q = min(k for k in table.entries.keys() | naive_table.entries
+                       if table.entries.get(k) != naive_table.entries.get(k))
+            raise AssertionError(
+                f"oracle mismatch: homology table at h={h}, q={q}: "
+                f"{table.entries.get((h, q))} against naive "
+                f"{naive_table.entries.get((h, q))}, for link {res.link}")
         naive = refined_invariants(d, theta, char=args.char, optimized=False)
-        if (naive.s_classical, naive.r_plus, naive.s_plus) != (
-                res.s_classical, res.r_plus, res.s_plus):
-            raise AssertionError("oracle mismatch: refined invariants")
+        got = (res.s_classical, res.r_plus, res.s_plus)
+        want = (naive.s_classical, naive.r_plus, naive.s_plus)
+        if got != want:
+            raise AssertionError(
+                f"oracle mismatch: refined invariants (s, r_plus, s_plus) "
+                f"{got} against naive {want}, for link {res.link}")
     render = {"json": serialize.compute_to_json,
               "csv": serialize.compute_to_csv,
               "text": serialize.compute_to_text}[args.format]

@@ -21,6 +21,11 @@ ints.
 
 :data:`RINGS` puts one coefficient-ring object in front of these kernels
 for the chain-level code, which stores sparse ``{row: coeff}`` columns.
+Over ℚ their entries are ints (as a cube is built) and Fractions (as a
+reduction writes them).  The jump-0 reduction reads ``Q.inv`` only for a
+pivot other than ±1 or a line with a non-integral entry; its other
+updates run in int arithmetic and store the same Fractions, so the stored
+types do not change (see :func:`khs.complexes.filtered_reduce`).
 """
 
 from __future__ import annotations

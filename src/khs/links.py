@@ -195,14 +195,12 @@ def parse_pd(text: str) -> OrientedLinkDiagram:
             raise PDError(f"malformed quadruple X({m.group(1)})")
         quads.append(tuple(nums))
     d = OrientedLinkDiagram(_crossings(quads), free_loops)
-    if reversed_comps:
-        flags = [False] * d.component_count
-        for i in reversed_comps:
-            if not 0 <= i < d.component_count:
-                raise PDError(f"reversed component {i} out of range "
-                              f"(component count {d.component_count})")
-            flags[i] = True
-        d = d.with_orientations(flags)
+    # no derived field reads the flags, so they are set on the one diagram
+    for i in reversed_comps:
+        if not 0 <= i < d.component_count:
+            raise PDError(f"reversed component {i} out of range "
+                          f"(component count {d.component_count})")
+        d.component_orientations[i] = True
     return d
 
 

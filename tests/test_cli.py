@@ -383,3 +383,73 @@ def test_canonical_chain_failure_names_stage_theory_and_link(monkeypatch,
     link = serialize_pd(builtin_diagram("trefoil"))
     assert ("canonical bar_natan chain is not a cycle (labeling convention "
             f"bug) at all q, h=0, for link {link}") in err
+
+
+@pytest.mark.parametrize("failing,message", [
+    ("j", "sublevel cycle is not a cycle of C at q=3, h=0"),
+    ("p", "level-q part is not a gr-cycle at q=3, h=0"),
+])
+def test_sublevel_failure_names_degree_and_level(monkeypatch, capsys,
+                                                 failing, message):
+    # [TRIVIAL] when a sublevel cycle has no coordinates in H(C) (its j
+    # image) or its level-q part none in H(gr_q C) (its p image), the
+    # exit-3 message names q and h; stdout stays empty.  The pipeline asks
+    # for q = s+1 = 3 first on the trefoil (its r₊ test).
+    import khs.complexes
+
+    real = khs.complexes.class_coords
+    calls = []
+
+    def class_coords(cx, h, reps, cycles):
+        # sublevel_homology asks for the j image, then the p image
+        calls.append(cx)
+        fails = "j" if len(calls) % 2 else "p"
+        if fails == failing:
+            return [None] * len(cycles)
+        return real(cx, h, reps, cycles)
+
+    monkeypatch.setattr(khs.complexes, "class_coords", class_coords)
+    code, out, err = run(capsys, "compute", "--link", "trefoil",
+                         "--char", "2", "--theta", "sq1", "--format", "json")
+    assert code == 3 and out == ""
+    assert message in err
+
+
+def test_oracle_mismatch_names_values_and_link(monkeypatch, capsys):
+    # [TRIVIAL] each --oracle mismatch names the table entry or the
+    # invariants that differ, both values and the link; stdout stays empty.
+    import dataclasses
+
+    import khs.cli
+    from khs.links import serialize_pd
+    from khs.tables import builtin_diagram
+
+    link = serialize_pd(builtin_diagram("trefoil"))
+    argv = ("compute", "--link", "trefoil", "--char", "2", "--theta", "sq1",
+            "--format", "json", "--oracle")
+    real_table = khs.cli.khovanov_homology
+
+    def khovanov_homology(d, ring, optimized=True):
+        table = real_table(d, ring=ring, optimized=optimized)
+        if not optimized:
+            table.entries[(0, 1)] = (5, [])
+        return table
+
+    with monkeypatch.context() as m:
+        m.setattr(khs.cli, "khovanov_homology", khovanov_homology)
+        code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert ("oracle mismatch: homology table at h=0, q=1: (1, []) against "
+            f"naive (5, []), for link {link}") in err
+
+    real_refined = khs.cli.refined_invariants
+
+    def refined_invariants(d, theta, char, optimized=True):
+        res = real_refined(d, theta, char=char, optimized=optimized)
+        return res if optimized else dataclasses.replace(res, s_plus=4)
+
+    monkeypatch.setattr(khs.cli, "refined_invariants", refined_invariants)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert ("oracle mismatch: refined invariants (s, r_plus, s_plus) "
+            f"(2, 2, 2) against naive (2, 2, 4), for link {link}") in err

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -274,7 +275,7 @@ def _reference_cancel(ops, out_, in_, h, j0, i0,
                     in_h1[i][j] = 1
                     changed.append((j, i))
     else:
-        inv = ops.inv(pivot)
+        inv = _reference_inv(ops.name, pivot)
         for j, a in row_i0.items():
             coef = a * inv
             out_j = out_h[j]
@@ -294,6 +295,13 @@ def _reference_cancel(ops, out_, in_, h, j0, i0,
     _reference_drop_line(out_.get(h + 1, {}), in_.get(h + 2, {}), i0)
     _reference_drop_line(in_.get(h, {}), out_.get(h - 1, {}), j0)
     return changed
+
+
+def _reference_inv(ring: str, v):
+    """The inverse of the unit ``v``, without the program's ring objects."""
+    if ring == "Q":
+        return Fraction(1) / Fraction(v)
+    return v if ring == "Z" else 1
 
 
 def _reference_drop_line(lines: dict[int, Column],
@@ -361,6 +369,47 @@ def test_reduction_matches_the_reference_on_builtins():
 def test_reduction_matches_the_reference_on_mixed_sign_braids():
     # [DERIVED] as above, on a seeded corpus of mixed-sign braid closures.
     assert _check_against_reference(_mixed_sign_braids(16, seed=17)) > 0
+
+
+# ±1 four times as likely as the others, so that some lines stay integral
+_MIXED = (1, -1) * 4 + (2, -2, Fraction(1, 2), Fraction(-1, 2),
+                        Fraction(3, 1), Fraction(3, 1))
+
+
+def _random_q_complex(rng: random.Random) -> FilteredComplex:
+    """A sparse ℚ filtered complex on degrees 0–2 with levels 0–2 and
+    entries drawn from ``_MIXED``, where the filtration allows them (d² = 0
+    is not needed: the reduction only cancels entries)."""
+    levels = {h: [rng.randrange(3) for _ in range(rng.randint(4, 10))]
+              for h in range(3)}
+    diff = {h: [{i: rng.choice(_MIXED) for i, l in enumerate(levels[h + 1])
+                 if l >= lj and rng.random() < 0.5} for lj in levels[h]]
+            for h in range(2)}
+    return FilteredComplex("Q", levels, diff)
+
+
+def test_mixed_q_entries_reduce_as_the_reference():
+    # [DERIVED] with entries ±1, ±2, ±1/2 and the integral Fraction 3, the
+    # reductions meet ±1 pivots over integral lines (the int update), ±1
+    # pivots over lines with a half, and pivots ±2 and ±1/2; every stored
+    # number keeps the type and value of the reference's Fraction
+    # arithmetic.
+    rng = random.Random(29)
+    unit_int = unit_frac = other = 0
+    for _ in range(60):
+        cx = _random_q_complex(rng)
+        dec = filtered_reduce(cx)
+        assert _reduction_repr(dec) == \
+            _reduction_repr(_reference_filtered_reduce(cx))
+        for *_, pivot, col, row in dec._steps:
+            if pivot not in (1, -1):
+                other += 1
+            elif all(v.denominator == 1
+                     for v in (*col.values(), *row.values())):
+                unit_int += 1
+            else:
+                unit_frac += 1
+    assert min(unit_int, unit_frac, other) > 0
 
 
 @pytest.mark.parametrize("name", ["9_42", "torus:3:1"])

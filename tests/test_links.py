@@ -530,3 +530,27 @@ def test_direct_nonplanar_diagram_rejected():
         OrientedLinkDiagram(crossings)
     with pytest.raises(NonPlanarError):
         OrientedLinkDiagram(crossings, 1, [False, True, False])
+
+
+def test_reversed_suffix_parses_to_the_two_step_diagram():
+    # [DERIVED] with a reversed= suffix, parse_pd builds one diagram; it
+    # equals the one it built before, the diagram of the body re-oriented
+    # by with_orientations, in every field and in the derived arc ends and
+    # crossing colours, for every builtin (with a loop) under every
+    # nonempty set of reversed components.
+    names = [n for n in BUILTIN_NAMES if ":" not in n] + [
+        f"torus:{n}:{q}" for n in range(2, 5) for q in range(n // 2 + 1)]
+    count = 0
+    for name in names:
+        d = builtin_diagram(name).disjoint_union(unknot())
+        body = serialize_pd(d.with_orientations(
+            [False] * d.component_count))
+        for flags in product((False, True), repeat=d.component_count):
+            if not any(flags):
+                continue
+            e = parse_pd(serialize_pd(d.with_orientations(list(flags))))
+            ref = parse_pd(body).with_orientations(list(flags))
+            assert e == ref
+            assert (e._arc_ends, e._colour) == (ref._arc_ends, ref._colour)
+            count += 1
+    assert count == 164
