@@ -30,7 +30,8 @@ def bockstein_chain(cx_z: FilteredComplex, h: int, cycle: Column) -> Column:
     """Bockstein of a mod-2 cycle at degree h, as a mod-2 chain at h+1.
 
     ``cycle`` must have 0/1 coefficients (its own integral lift).  Raises
-    if the lifted boundary is not exactly divisible by 2.
+    if the lifted boundary is not exactly divisible by 2, naming the level
+    q and the degree h+1 of the offending entry.
     """
     if cx_z.ring != "Z":
         raise ValueError("needs an integral complex")
@@ -40,7 +41,8 @@ def bockstein_chain(cx_z: FilteredComplex, h: int, cycle: Column) -> Column:
         if v % 2:
             raise AssertionError(
                 "Bockstein lift-divide failed: boundary not divisible by 2 "
-                "(generator basis mismatch)")
+                f"(generator basis mismatch) at q={cx_z.levels[h + 1][i]}, "
+                f"h={h + 1}")
         if (v // 2) % 2:
             out[i] = 1
     return out
@@ -72,7 +74,10 @@ def sq1(zdec: DecomposedComplex, i: int) -> BocksteinMap:
     images = [bockstein_chain(zred, i - 1, r) for r in sources]
     matrix = class_coords(f2, i, homology_reps(f2, i), images)
     if None in matrix:
-        raise AssertionError("Sq¹ output is not a cycle in its slice")
+        # a basis source is nonzero and has the level of its image
+        src = sources[matrix.index(None)]
+        raise AssertionError("Sq¹ output is not a cycle in its slice at "
+                             f"q={zred.levels[i - 1][min(src)]}, h={i}")
     return BocksteinMap(sources, images, matrix)
 
 

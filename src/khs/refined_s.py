@@ -216,7 +216,12 @@ class _Pipeline:
         out: list[tuple[Column, list]] = []
         if zsl.dim(-1) and zsl.dim(0):
             zdec = self.reduce(zsl)
-            bm = sq1(zdec, 0)
+            try:
+                bm = sq1(zdec, 0)
+            except AssertionError as e:
+                # its message ends "at q=…, h=0", as _failure's would
+                raise AssertionError(
+                    f"{e}, for link {serialize_pd(self.d)}") from e
             back_src, back_tgt = zkeep.get(-1, []), zkeep.get(0, [])
             gcx, gkeep, greps = self.gr(q)
             gpos = {g: k for k, g in enumerate(gkeep.get(0, []))}
@@ -406,7 +411,9 @@ def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
     """s^F, r₊^θ and s₊^θ with certificates for every claimed fullness.
 
     Only the levels q ∈ {s−3, s−1, s+1} are tested, as justified by the
-    dichotomy r₊, s₊ ∈ {s, s+2}.
+    dichotomy r₊, s₊ ∈ {s, s+2}.  Each certificate is re-checked by
+    :func:`validate_certificate` before the result is returned; a failure
+    raises AssertionError naming the certificate, its q and the link.
     """
     if theta.kind == "sq1":
         if char not in (None, 2):
@@ -450,6 +457,12 @@ def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
         s_plus_v, s_wit = s, (s - 3, *wit)
 
     certs = pipe.certificates({"r_plus": r_wit, "s_plus": s_wit}, mode)
+    del pipe  # free its complexes before the validations build theirs
+    for name, cert in certs.items():
+        if not validate_certificate(d, cert):
+            raise AssertionError(
+                f"certificate re-validation failed: {name} at q={cert.q}, "
+                f"h=0, for link {link_id}")
     return RefinedSResult(link_id, d.component_count, char, theta,
                           s, r_plus_v, s_plus_v, certs)
 

@@ -1,5 +1,7 @@
 """The Bockstein Sq¹ on Khovanov homology over GF(2)."""
 
+import pytest
+
 from khs.bockstein import bockstein_chain, sq1, sq1_table
 from khs.complexes import (
     FilteredComplex,
@@ -48,6 +50,15 @@ def test_bockstein_sees_exactly_z2_summands():
     for k, image in ((2, {0: 1}), (4, {}), (6, {0: 1})):
         cx = FilteredComplex("Z", {-1: [0], 0: [0]}, {-1: [{0: k}]})
         assert bockstein_chain(cx, -1, {0: 1}) == image
+
+
+def test_lift_divide_failure_names_level_and_degree():
+    # [TRIVIAL] an odd integral boundary cannot be halved; the exit-3
+    # message names the level q and the degree of the odd entry.
+    cx = FilteredComplex("Z", {-1: [5], 0: [5]}, {-1: [{0: 3}]})
+    with pytest.raises(AssertionError, match=r"lift-divide failed: boundary "
+                       r"not divisible by 2 .* at q=5, h=0$"):
+        bockstein_chain(cx, -1, {0: 1})
 
 
 def test_sq1_vanishes_on_torsion_free():

@@ -1,4 +1,4 @@
-"""CLI contract: subcommands, formats, exit codes, caching, determinism."""
+"""CLI contract: subcommands, formats, exit codes, determinism."""
 
 import hashlib
 import json
@@ -149,21 +149,7 @@ def test_verify_dichotomy(capsys):
     assert json.loads(out)["pass"]
 
 
-def test_table_with_cache(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("KHS_CACHE_DIR", str(tmp_path / "cache"))
-    args = ("table", "--family", "torus", "--max-n", "2",
-            "--char", "2", "--theta", "sq1", "--format", "csv")
-    code, out1, _ = run(capsys, *args)
-    assert code == 0
-    assert len(list((tmp_path / "cache").iterdir())) == 2
-    code, out2, _ = run(capsys, *args)  # second run served from cache
-    assert code == 0
-    assert out1 == out2  # determinism: byte-identical
-    assert "torus:2:1,2,2,sq1,-1,-1,-1" in out1
-
-
-def test_table_json_without_cache(monkeypatch, capsys):
-    monkeypatch.delenv("KHS_CACHE_DIR", raising=False)
+def test_table_json_without_cache(capsys):
     code, out, _ = run(capsys, "table", "--family", "torus", "--max-n", "2",
                        "--format", "json")
     assert code == 0
@@ -171,11 +157,10 @@ def test_table_json_without_cache(monkeypatch, capsys):
     assert [r["name"] for r in rows] == ["torus:2:0", "torus:2:1"]
 
 
-def test_table_pd_file_names_rows_by_line(tmp_path, monkeypatch, capsys):
+def test_table_pd_file_names_rows_by_line(tmp_path, capsys):
     # [TRIVIAL] comment and blank lines are skipped but still counted, so
     # each row is named after its own line of the file.
     from khs.links import hopf_link, serialize_pd, trefoil
-    monkeypatch.delenv("KHS_CACHE_DIR", raising=False)
     pd_file = tmp_path / "links.pd"
     pd_file.write_text(f"# trefoil, then the Hopf link\n"
                        f"{serialize_pd(trefoil())}\n\n"
@@ -187,10 +172,9 @@ def test_table_pd_file_names_rows_by_line(tmp_path, monkeypatch, capsys):
     assert [(r["name"], r["s"]) for r in rows] == [("line2", 2), ("line4", 1)]
 
 
-def test_table_threads_print_the_same(monkeypatch, capsys):
+def test_table_threads_print_the_same(capsys):
     # [DERIVED] rows computed by 2 worker processes print exactly what one
     # process prints, in the same order.
-    monkeypatch.delenv("KHS_CACHE_DIR", raising=False)
     args = ("table", "--family", "torus", "--max-n", "3")
     code1, out1, _ = run(capsys, *args, "--threads", "1")
     code2, out2, _ = run(capsys, *args, "--threads", "2")
@@ -248,46 +232,52 @@ def test_options_a_subcommand_does_not_read_exit_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
-def test_table_cache_recomputes_rows_of_other_code(tmp_path, monkeypatch,
-                                                   capsys):
-    # [DERIVED] cache keys carry a digest of the sources, so a row that
-    # older code cached (here with a wrong s_plus) is not served.
-    import khs.cli
-
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("KHS_CACHE_DIR", str(cache))
-    args = ("table", "--family", "torus", "--max-n", "2",
-            "--char", "2", "--theta", "sq1", "--format", "csv")
-    digest = khs.cli._source_digest
-    monkeypatch.setattr(khs.cli, "_source_digest", lambda: "older code")
-    assert run(capsys, *args)[0] == 0
-    for f in cache.iterdir():
-        row = json.loads(f.read_text())
-        f.write_text(json.dumps({**row, "s_plus": 99}))
-    code, stale, _ = run(capsys, *args)  # same digest: served from cache
-    assert code == 0 and ",99" in stale
-    monkeypatch.setattr(khs.cli, "_source_digest", digest)
-    code, out, _ = run(capsys, *args)
-    assert code == 0
-    assert ",99" not in out and "torus:2:1,2,2,sq1,-1,-1,-1" in out
-    assert len(list(cache.iterdir())) == 4
-
-
 def test_failed_revalidation_names_certificate_level_and_link(monkeypatch,
                                                               capsys):
     # [TRIVIAL] exit 3 says which certificate failed, at which q, for
     # which link; stdout stays empty.
-    import khs.cli
+    import khs.refined_s
     from khs.links import serialize_pd
     from khs.tables import builtin_diagram
 
-    monkeypatch.setattr(khs.cli, "validate_certificate",
+    monkeypatch.setattr(khs.refined_s, "validate_certificate",
                         lambda d, cert: False)
     code, out, err = run(capsys, "compute", "--link", "trefoil",
                          "--char", "2", "--theta", "sq1", "--format", "json")
     assert code == 3 and out == ""
     assert "r_plus at q=" in err
     assert serialize_pd(builtin_diagram("trefoil")) in err
+
+
+@pytest.mark.parametrize("argv,link", [
+    (("compute", "--link", "trefoil"), "trefoil"),
+    (("table", "--family", "torus", "--max-n", "2", "--threads", "1"),
+     "torus:2:0"),
+    (("verify", "prop1", "--max-n", "2"), "torus:2:0"),
+    # the empty link on the left has no certificate, so T(2,2)_{1,1} fails
+    (("verify", "prop2"), "torus:2:1"),
+    # the empty link is first in the corpus and has none either
+    (("verify", "dichotomy"), "unknot"),
+    (("verify", "adjunction-942"), "9_42"),
+])
+def test_every_subcommand_exits_3_on_a_failed_certificate(monkeypatch, capsys,
+                                                         argv, link):
+    # [TRIVIAL] refined_invariants validates the certificates behind every
+    # printed r_plus and s_plus, so each subcommand exits 3 with empty
+    # stdout, naming the certificate, its q and the link.
+    import re
+
+    import khs.refined_s
+    from khs.links import serialize_pd
+    from khs.tables import builtin_diagram
+
+    monkeypatch.setattr(khs.refined_s, "validate_certificate",
+                        lambda d, cert: False)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    where = re.escape(serialize_pd(builtin_diagram(link)))
+    assert re.search("certificate re-validation failed: r_plus at q=-?[0-9]+, "
+                     f"h=0, for link {where}", err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -331,8 +321,8 @@ def test_lee_compute_eliminates_the_full_d_minus_1_once(monkeypatch,
 
 
 def test_import_leaves_hashlib_unloaded():
-    # [TRIVIAL] only the table cache hashes, so `compute` does not pay for
-    # importing hashlib.
+    # [TRIVIAL] no khs code hashes, so `compute` does not pay for importing
+    # hashlib.
     import os
     import subprocess
     import sys
@@ -453,3 +443,21 @@ def test_oracle_mismatch_names_values_and_link(monkeypatch, capsys):
     assert code == 3 and out == ""
     assert ("oracle mismatch: refined invariants (s, r_plus, s_plus) "
             f"(2, 2, 2) against naive (2, 2, 4), for link {link}") in err
+
+
+def test_sq1_failure_names_degree_level_and_link(monkeypatch, capsys):
+    # [TRIVIAL] when a Bockstein image is not a cycle of its ℤ slice, the
+    # exit-3 message names h, q and the link; stdout stays empty.  On 9_42
+    # (s = 0) the first level with a Sq¹ source is q = s+1 = 1.
+    import khs.bockstein
+    from khs.links import serialize_pd
+    from khs.tables import builtin_diagram
+
+    monkeypatch.setattr(khs.bockstein, "class_coords",
+                        lambda cx, h, reps, cycles: [None] * len(cycles))
+    code, out, err = run(capsys, "compute", "--link", "9_42",
+                         "--char", "2", "--theta", "sq1", "--format", "json")
+    assert code == 3 and out == ""
+    link = serialize_pd(builtin_diagram("9_42"))
+    assert ("Sq¹ output is not a cycle in its slice at q=1, h=0, "
+            f"for link {link}") in err
