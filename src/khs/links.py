@@ -304,7 +304,8 @@ def braid_closure(n_strands: int, word: Iterable[int],
 
     ``reversed_strands`` lists strand start-positions (1-based) whose closed-up
     components are reversed.  Positive letters give positive crossings and
-    negative letters negative ones when both strands are parallel.
+    negative letters negative ones when both strands run up the braid, as
+    every strand does unless ``reversed_strands`` reverses it.
     """
     word = list(word)
     if n_strands < 1:
@@ -337,14 +338,23 @@ def braid_closure(n_strands: int, word: Iterable[int],
     untouched = [pos for pos in range(n_strands) if seg[pos] == start[pos]]
     d = OrientedLinkDiagram(_crossings(relabeled), len(untouched))
     if d.component_count != len(set(_closure_components(n_strands, word))):
-        raise AssertionError("braid closure has the wrong component count")
+        raise AssertionError(
+            f"braid closure has the wrong component count, for braid word "
+            f"{word} on {n_strands} strands")
+    # a component that never passes under takes its base orientation from
+    # its first over-entry, which may run down the braid: flag it, so that
+    # every strand runs up (slot 3 is the upward over-entry of a positive
+    # letter, slot 1 of a negative one)
+    upward = {q: 3 if letter > 0 else 1 for q, letter in zip(relabeled, word)}
     flags = [False] * d.component_count
+    for c in d.crossings:
+        if c.over_in != upward[c.quad]:
+            flags[d.arc_component[c.quad[1]]] = True
     n_arc_comps = d.component_count - len(untouched)
-    for pos in reversed_strands:
-        if pos - 1 in untouched:
-            flags[n_arc_comps + untouched.index(pos - 1)] = True
-        else:
-            flags[d.arc_component[start[pos - 1]]] = True
+    for comp in {n_arc_comps + untouched.index(pos - 1)
+                 if pos - 1 in untouched else d.arc_component[start[pos - 1]]
+                 for pos in reversed_strands}:
+        flags[comp] = not flags[comp]
     return d.with_orientations(flags)
 
 

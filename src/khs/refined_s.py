@@ -26,13 +26,15 @@ scratch using only chain arithmetic: no solve, rank or reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 
 from . import linalg
 from .bockstein import bockstein_chain, sq1
 from .complexes import (
     Column,
+    FilteredComplex,
     SublevelHomology,
     apply,
     class_coords,
@@ -77,7 +79,8 @@ class FullnessCertificate:
     """Witness chains for one fullness claim at level q.
 
     All chains are stored over the original cube bases, keyed by generator
-    id strings ("v<bits>:<labels>").  ``x`` is a degree-0 cycle of the
+    id strings ("v<bits>:<labels>"), or by index inside :class:`_Pipeline`
+    and :func:`_certificate_holds`.  ``x`` is a degree-0 cycle of the
     deformed complex supported on levels ≥ q whose class maps under j to
     α[𝔰_𝔬] + β[𝔰_𝔬̄]; ``y`` exhibits x − α𝔰_𝔬 − β𝔰_𝔬̄ as a boundary.  For
     kind "zero"/"sq1" the level-q part of x is exhibited as a graded
@@ -139,38 +142,32 @@ _FIELDS = {0: ("lee", "Q"), 2: ("bar_natan", "gf2")}
 
 
 class _Pipeline:
-    """Shared state for all fullness computations over one (diagram, char).
+    """Shared state for all fullness computations over one deformed complex.
 
-    ``optimized`` cancels the jump-0 pairs of the deformed complex (so
-    sublevel/graded homology is computed on a much smaller complex) and of
-    each integral q-slice before extracting Sq¹; the naive path is the same
-    pipeline with nothing cancelled (:func:`unreduced`).  Certificates are
-    always expressed in original cube coordinates.  The integral Khovanov
-    cube ``cube_z`` that Sq¹ needs is built by the first
-    :meth:`theta_data` call.
+    The inputs: the deformed complex ``cx0`` (its ring gives the
+    characteristic), its degree-0 chains ``canon`` = (𝔰_𝔬, 𝔰_𝔬̄), a
+    zero-argument ``z_source`` of the integral Khovanov complex on the same
+    generators (called once, by Sq¹ only), ``reduce`` (:func:`filtered_reduce`
+    cancels jump-0 pairs of ``cx0`` and of each integral q-slice; the naive
+    :func:`unreduced` cancels nothing) and the ``link`` that exit-3
+    messages name.  Certificates are chains over the indices of ``cx0``.
     """
 
-    def __init__(self, d: OrientedLinkDiagram, char: int,
-                 optimized: bool = True):
-        if d.component_count == 0:
-            raise ValueError("empty link has no canonical subspace W")
-        if char not in _FIELDS:
-            raise ValueError("characteristic must be 0 or 2")
-        self.d = d
-        self.char = char
-        self.reduce = filtered_reduce if optimized else unreduced
-        theory, ring = _FIELDS[char]
-        self.ops = linalg.RINGS[ring]
-        self.cube = build_complex(d, theory, ring)
-        self.s_o_orig = canonical_cycle(self.cube)
-        self.s_ob_orig = canonical_cycle(self.cube, reverse=True)
-        self.dec = self.reduce(self.cube.complex)
+    def __init__(self, cx0: FilteredComplex, canon: tuple[Column, Column],
+                 z_source, reduce, link: str):
+        self.cx0 = cx0
+        self.canon = canon
+        self.char = 2 if cx0.ring == "gf2" else 0
+        self.reduce = reduce
+        self.link = link
+        self.ops = cx0.ops
+        self.cx_z = cache(z_source)
+        self.dec = reduce(cx0)
         self.cx = self.dec.reduced
         self.full_reps = homology_reps(self.cx, 0)
         # [𝔰_𝔬] and [𝔰_𝔬̄] as sparse columns over the basis full_reps
-        chains = (self.s_o_orig, self.s_ob_orig)
         coords = class_coords(self.cx, 0, self.full_reps,
-                              [push_chain(self.dec, 0, c) for c in chains])
+                              [push_chain(self.dec, 0, c) for c in canon])
         if None in coords:
             raise AssertionError(self._failure(
                 "canonical chain is not a cycle of C", None))
@@ -178,7 +175,6 @@ class _Pipeline:
         if self.ops.rank(self.w) != 2:
             raise AssertionError(self._failure(
                 "canonical classes are not independent", None))
-        self.cube_z: CubeComplex | None = None
         # per-level results, each computed once: plain dicts, so that a
         # finished pipeline is freed as soon as its last reference goes
         self._sh_cache: dict[int, SublevelHomology] = {}
@@ -190,8 +186,12 @@ class _Pipeline:
 
     def sh(self, q: int) -> SublevelHomology:
         if q not in self._sh_cache:
-            self._sh_cache[q] = sublevel_homology(
-                self.cx, q, 0, self.full_reps, *self.gr(q))
+            try:
+                self._sh_cache[q] = sublevel_homology(
+                    self.cx, q, 0, self.full_reps, *self.gr(q))
+            except AssertionError as e:
+                # its message ends "at q=…, h=0", as _failure's would
+                raise AssertionError(f"{e}, for link {self.link}") from e
         return self._sh_cache[q]
 
     def gr(self, q: int):
@@ -210,9 +210,7 @@ class _Pipeline:
             raise ValueError("Sq¹ refinement needs characteristic 2")
         if q in self._theta_cache:
             return self._theta_cache[q]
-        if self.cube_z is None:
-            self.cube_z = build_complex(self.d, "khovanov", "Z")
-        zsl, zkeep = q_slice(self.cube_z.complex, q)
+        zsl, zkeep = q_slice(self.cx_z(), q)
         out: list[tuple[Column, list]] = []
         if zsl.dim(-1) and zsl.dim(0):
             zdec = self.reduce(zsl)
@@ -220,8 +218,7 @@ class _Pipeline:
                 bm = sq1(zdec, 0)
             except AssertionError as e:
                 # its message ends "at q=…, h=0", as _failure's would
-                raise AssertionError(
-                    f"{e}, for link {serialize_pd(self.d)}") from e
+                raise AssertionError(f"{e}, for link {self.link}") from e
             back_src, back_tgt = zkeep.get(-1, []), zkeep.get(0, [])
             gcx, gkeep, greps = self.gr(q)
             gpos = {g: k for k, g in enumerate(gkeep.get(0, []))}
@@ -289,17 +286,12 @@ class _Pipeline:
                         {k - n_a: v for k, v in sol.items() if k >= n_a and v})
         return None
 
-    def all_witnesses(self, q: int, mode: str):
-        """Witnesses with (α, β) ≠ 0 from a homogeneous solution basis.
-
-        The (α, β) parts of the returned witnesses span the achievable
-        subspace of W, so greedily collecting independent ones realizes
-        its full dimension.
-        """
+    def first_witness(self, q: int, mode: str):
+        """(α, β, a_k, c_m) with (α, β) ≠ 0 from the first such vector of
+        a homogeneous solution basis, or None if level q hits nothing."""
         cols, n_a = self._system(q, mode)
         # homogeneous system in (α, β, a, c):  α w_o + β w_ob − Σ a… − Σ c… = 0
         neg = ({i: -v for i, v in c.items()} for c in cols)
-        out = []
         for sol in self.ops.nullspace(self.w + list(neg)):
             alpha = sol.get(0, 0)
             beta = sol.get(1, 0)
@@ -307,8 +299,8 @@ class _Pipeline:
                 a = {k - 2: v for k, v in sol.items() if 2 <= k < 2 + n_a and v}
                 c = {k - 2 - n_a: v for k, v in sol.items()
                      if k >= 2 + n_a and v}
-                out.append((alpha, beta, a, c))
-        return out
+                return alpha, beta, a, c
+        return None
 
     # -- certificates ---------------------------------------------------------
 
@@ -317,14 +309,14 @@ class _Pipeline:
         """One certificate per witness (q, α, β, a_k, c_m); the j-condition
         chains y of all of them come from one solve against the full d₋₁."""
         coeff = self.ops.coeff
-        cx0 = self.cube.complex
+        cx0 = self.cx0
         xs = []
         for q, _, _, a, _ in wits.values():
             x_cx = {i: coeff(v) for i, v in apply(self.sh(q).reps, a).items()}
             xs.append(lift_chain(self.dec, 0, x_cx))
         # j-condition: d(y) = x − α·𝔰_𝔬 − β·𝔰_𝔬̄ in the original cube
         ys = self.ops.solve(cx0.columns(-1), [
-            apply([x, self.s_o_orig, self.s_ob_orig], {0: 1, 1: -al, 2: -be})
+            apply([x, *self.canon], {0: 1, 1: -al, 2: -be})
             for x, (_, al, be, _, _) in zip(xs, wits.values())])
         return {name: self.certificate(q, al, be, c, x, y, mode)
                 for (name, (q, al, be, _, c)), x, y
@@ -335,7 +327,7 @@ class _Pipeline:
         if y is None:
             raise AssertionError(self._failure(
                 "j-condition witness solve failed", q))
-        cx0 = self.cube.complex
+        cx0 = self.cx0
         u = z = None
         if mode != "plain":
             # p-condition: level-q part of x is (Sq¹ u) + graded boundary
@@ -344,7 +336,7 @@ class _Pipeline:
             if mode == "sq1":
                 sources = [src for src, _ in self.theta_data(q)]
                 u = {i: 1 for i, v in apply(sources, c).items() if v % 2}
-                w = bockstein_chain(self.cube_z.complex, -1, u)
+                w = bockstein_chain(self.cx_z(), -1, u)
                 for i, v in w.items():
                     xq[i] = xq.get(i, 0) - v
             gcx0, gkeep0 = q_slice(cx0, q, (-1, 0))
@@ -356,31 +348,20 @@ class _Pipeline:
                     "p-condition witness solve failed", q))
             back = gkeep0.get(-1, [])
             z = {back[k]: v for k, v in z_loc.items() if v}
-        gid = self.cube.gen_id
-        return FullnessCertificate(
-            q=q, kind=mode, char=self.char, alpha=alpha, beta=beta,
-            x={gid(0, i): v for i, v in x.items()},
-            y={gid(-1, i): v for i, v in y.items() if v},
-            u={gid(-1, i): 1 for i in u} if u is not None else None,
-            z={gid(-1, i): v for i, v in z.items()} if z is not None else None,
-        )
+        return FullnessCertificate(q, mode, self.char, alpha, beta, x,
+                                   {i: v for i, v in y.items() if v}, u, z)
 
     def _failure(self, stage: str, q: int | None) -> str:
         """Exit-3 message naming the stage, the level q (None: a statement
         about every level) and the link; every claim here is in h = 0."""
         where = "all q" if q is None else f"q={q}"
-        return f"{stage} at {where}, h=0, for link {serialize_pd(self.d)}"
+        return f"{stage} at {where}, h=0, for link {self.link}"
 
     # -- the invariants -------------------------------------------------------
 
-    def degree0_levels(self) -> list[int]:
-        """Levels of the cube's degree-0 generators (the reduced complex
-        keeps a subset of them)."""
-        return sorted(set(self.cube.complex.levels.get(0, [])))
-
     def s_value(self) -> int:
         """s^F via max half-full − 1, asserted equal to max full + 1."""
-        lvls = self.degree0_levels()
+        lvls = self.cx0.levels[0]
         q = max(lvls)
         while self.v_dim(q, "plain") < 1:
             q -= 2
@@ -392,6 +373,66 @@ class _Pipeline:
                 "the two s-invariant formulas disagree", q))
         return q - 1
 
+    def invariants(self, mode: str) -> tuple[int, int, int, dict]:
+        """(s, r₊^θ, s₊^θ) for θ of kind ``mode`` and the certificates
+        "r_plus" and "s_plus", keyed by indices of ``cx0``.
+
+        Only the levels q ∈ {s−3, s−1, s+1} are tested, as justified by the
+        dichotomy r₊, s₊ ∈ {s, s+2}.
+        """
+        s = self.s_value()
+        # r₊ criterion: x ∈ H⁰(C^{≥ s+1}) with j(x) = [𝔰_𝔬] ± [𝔰_𝔬̄],
+        # p(x) ∈ im θ; over 𝔽₂ the two signs are one target
+        targets = [(1, 1)] if self.char == 2 else [(1, 1), (1, -1)]
+        wit = self.witness(s + 1, targets, mode)
+        if wit is not None:
+            r_plus, r_wit = s + 2, (s + 1, *wit)
+        else:
+            wit = self.first_witness(s - 1, mode)
+            if wit is None:
+                raise AssertionError(self._failure(
+                    "s−1 must be θ-half-full by the dichotomy", s - 1))
+            r_plus, r_wit = s, (s - 1, *wit)
+
+        # s₊ criterion: x ∈ H⁰(C^{≥ s−1}) with j(x) = [𝔰_𝔬], p(x) ∈ im θ
+        wit = self.witness(s - 1, [(1, 0)], mode)
+        if wit is not None:
+            s_plus, s_wit = s + 2, (s - 1, *wit)
+        else:
+            if self.v_dim(s - 3, mode) != 2:
+                raise AssertionError(self._failure(
+                    "s−3 must be θ-full by the dichotomy", s - 3))
+            wit = self.witness(s - 3, [(1, 0)], mode)
+            if wit is None:
+                raise AssertionError(self._failure(
+                    "θ-full level admits no [𝔰_𝔬] witness", s - 3))
+            s_plus, s_wit = s, (s - 3, *wit)
+        certs = self.certificates({"r_plus": r_wit, "s_plus": s_wit}, mode)
+        return s, r_plus, s_plus, certs
+
+
+def _diagram_pipeline(d: OrientedLinkDiagram, char: int,
+                      optimized: bool = True) -> tuple[_Pipeline, CubeComplex]:
+    """The pipeline of the nonempty ``d``'s deformed cube over ``char``,
+    and that cube, whose ``gen_id`` names the pipeline's indices."""
+    if char not in _FIELDS:
+        raise ValueError("characteristic must be 0 or 2")
+    cube = build_complex(d, *_FIELDS[char])
+    canon = (canonical_cycle(cube), canonical_cycle(cube, reverse=True))
+    pipe = _Pipeline(cube.complex, canon,
+                     lambda: build_complex(d, "khovanov", "Z").complex,
+                     filtered_reduce if optimized else unreduced,
+                     serialize_pd(d))
+    return pipe, cube
+
+
+def _keyed(cert: FullnessCertificate, key) -> FullnessCertificate:
+    """``cert`` re-keyed by ``key(h, k)``: h = 0 for x, −1 for y, u, z."""
+    def chain(h, c):
+        return None if c is None else {key(h, k): v for k, v in c.items()}
+    return replace(cert, x=chain(0, cert.x), y=chain(-1, cert.y),
+                   u=chain(-1, cert.u), z=chain(-1, cert.z))
+
 
 # ---------------------------------------------------------------------------
 # Public operations
@@ -402,7 +443,7 @@ def s_classical(d: OrientedLinkDiagram, char: int = 0) -> int:
     """The classical s-invariant over F (char 0 or 2); s(∅) := 1."""
     if d.component_count == 0:
         return 1
-    return _Pipeline(d, char).s_value()
+    return _diagram_pipeline(d, char)[0].s_value()
 
 
 def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
@@ -410,10 +451,9 @@ def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
                        optimized: bool = True) -> RefinedSResult:
     """s^F, r₊^θ and s₊^θ with certificates for every claimed fullness.
 
-    Only the levels q ∈ {s−3, s−1, s+1} are tested, as justified by the
-    dichotomy r₊, s₊ ∈ {s, s+2}.  Each certificate is re-checked by
-    :func:`validate_certificate` before the result is returned; a failure
-    raises AssertionError naming the certificate, its q and the link.
+    Each certificate is re-checked by :func:`validate_certificate` before
+    the result is returned; a failure raises AssertionError naming the
+    certificate, its q and the link.
     """
     if theta.kind == "sq1":
         if char not in (None, 2):
@@ -421,50 +461,21 @@ def refined_invariants(d: OrientedLinkDiagram, theta: ThetaOperation = SQ1,
         char = 2
     elif char is None:
         char = 0
-    link_id = serialize_pd(d)
     if d.component_count == 0:
-        return RefinedSResult(link_id, 0, char, theta, 1, 1, 1,
+        return RefinedSResult(serialize_pd(d), 0, char, theta, 1, 1, 1,
                               {"r_plus": None, "s_plus": None})
-    pipe = _Pipeline(d, char, optimized)
-    s = pipe.s_value()
-    mode = theta.kind
-
-    # r₊ criterion: x ∈ H⁰(C^{≥ s+1}) with j(x) = [𝔰_𝔬] ± [𝔰_𝔬̄], p(x) ∈ im θ
-    # over 𝔽₂ the two signs are one target
-    targets = [(1, 1)] if char == 2 else [(1, 1), (1, -1)]
-    wit = pipe.witness(s + 1, targets, mode)
-    if wit is not None:
-        r_plus_v, r_wit = s + 2, (s + 1, *wit)
-    else:
-        wits = pipe.all_witnesses(s - 1, mode)
-        if not wits:
-            raise AssertionError(pipe._failure(
-                "s−1 must be θ-half-full by the dichotomy", s - 1))
-        r_plus_v, r_wit = s, (s - 1, *wits[0])
-
-    # s₊ criterion: x ∈ H⁰(C^{≥ s−1}) with j(x) = [𝔰_𝔬], p(x) ∈ im θ
-    wit = pipe.witness(s - 1, [(1, 0)], mode)
-    if wit is not None:
-        s_plus_v, s_wit = s + 2, (s - 1, *wit)
-    else:
-        if pipe.v_dim(s - 3, mode) != 2:
-            raise AssertionError(pipe._failure(
-                "s−3 must be θ-full by the dichotomy", s - 3))
-        wit = pipe.witness(s - 3, [(1, 0)], mode)
-        if wit is None:
-            raise AssertionError(pipe._failure(
-                "θ-full level admits no [𝔰_𝔬] witness", s - 3))
-        s_plus_v, s_wit = s, (s - 3, *wit)
-
-    certs = pipe.certificates({"r_plus": r_wit, "s_plus": s_wit}, mode)
-    del pipe  # free its complexes before the validations build theirs
+    pipe, cube = _diagram_pipeline(d, char, optimized)
+    s, r_plus, s_plus, certs = pipe.invariants(theta.kind)
+    certs = {name: _keyed(cert, cube.gen_id) for name, cert in certs.items()}
+    link_id = pipe.link
+    del pipe, cube  # free the complexes before the validations build theirs
     for name, cert in certs.items():
         if not validate_certificate(d, cert):
             raise AssertionError(
                 f"certificate re-validation failed: {name} at q={cert.q}, "
                 f"h=0, for link {link_id}")
     return RefinedSResult(link_id, d.component_count, char, theta,
-                          s, r_plus_v, s_plus_v, certs)
+                          s, r_plus, s_plus, certs)
 
 
 def sq1_vanishing_hypothesis(t: OrientedLinkDiagram, s: int) -> bool:
@@ -541,46 +552,52 @@ def validate_certificate(d: OrientedLinkDiagram,
             or not all(isinstance(v, types) for v in (cert.alpha, cert.beta))):
         return False
     cube = build_complex(d, *_FIELDS[cert.char])
-    cx = cube.complex
-    is_zero = cx.ops.is_zero
-    x = cube.from_gen_ids(0, cert.x)
-    y = cube.from_gen_ids(-1, cert.y)
-    if x is None or y is None:
+    chains = [cube.from_gen_ids(h, c or {}) for h, c in
+              ((0, cert.x), (-1, cert.y), (-1, cert.u), (-1, cert.z))]
+    if None in chains:
         return False
+    canon = (canonical_cycle(cube), canonical_cycle(cube, reverse=True))
+    return _certificate_holds(
+        cube.complex, canon, lambda: build_complex(d, "khovanov", "Z").complex,
+        replace(cert, **dict(zip("xyuz", chains))))
+
+
+def _certificate_holds(cx: FilteredComplex, canon: tuple[Column, Column],
+                       z_source, cert: FullnessCertificate) -> bool:
+    """The chain checks of :func:`validate_certificate` on a certificate
+    keyed by indices of the deformed complex ``cx``, as :class:`_Pipeline`
+    takes ``canon`` and ``z_source``; u and z are dicts where read."""
+    is_zero = cx.ops.is_zero
     # filtration support and cycle condition for x
     lv0 = cx.levels[0]
-    if any(lv0[i] < cert.q for i, v in x.items() if v):
+    if any(lv0[i] < cert.q for i, v in cert.x.items() if v):
         return False
-    if not is_zero(apply(cx.columns(0), x)):
+    if not is_zero(apply(cx.columns(0), cert.x)):
         return False
     # j-condition: d(y) = x − α 𝔰_𝔬 − β 𝔰_𝔬̄
-    chains = [apply(cx.columns(-1), y), x, canonical_cycle(cube),
-              canonical_cycle(cube, reverse=True)]
+    chains = [apply(cx.columns(-1), cert.y), cert.x, *canon]
     if not is_zero(apply(chains, {0: 1, 1: -1, 2: cert.alpha, 3: cert.beta})):
         return False
     if cert.kind == "plain":
         return True
     # p-condition: level-q part of x = Sq¹(u) + d_gr(z)
-    xq = {i: v for i, v in x.items() if lv0[i] == cert.q}
+    xq = {i: v for i, v in cert.x.items() if lv0[i] == cert.q}
     if cert.kind == "sq1":
-        cube_z = build_complex(d, "khovanov", "Z")
-        u = cube_z.from_gen_ids(-1, cert.u or {})
-        zlv = cube_z.complex.levels.get(-1, [])
-        if u is None or any(zlv[i] != cert.q for i in u):
+        cx_z = z_source()
+        if any(cx_z.levels[-1][i] != cert.q for i in cert.u):
             return False
         # u must be a mod-2 cycle of the graded (Khovanov) complex
-        if not linalg.GF2.is_zero(apply(cube_z.complex.columns(-1), u)):
+        if not linalg.GF2.is_zero(apply(cx_z.columns(-1), cert.u)):
             return False
-        w = bockstein_chain(cube_z.complex, -1, u)
+        w = bockstein_chain(cx_z, -1, cert.u)
         for i, v in w.items():
             xq[i] = xq.get(i, 0) - v
     gcx, gkeep = q_slice(cx, cert.q, (-1, 0))
     gpos = {g: k for k, g in enumerate(gkeep.get(0, []))}
     posm1 = {g: k for k, g in enumerate(gkeep.get(-1, []))}
-    z = cube.from_gen_ids(-1, cert.z or {})
-    if z is None or any(i not in posm1 for i in z):
+    if any(i not in posm1 for i in cert.z):
         return False
-    acc = apply(gcx.columns(-1), {posm1[i]: v for i, v in z.items()})
+    acc = apply(gcx.columns(-1), {posm1[i]: v for i, v in cert.z.items()})
     for i, v in xq.items():
         if v and i not in gpos:
             return False

@@ -347,7 +347,7 @@ def test_internal_failure_names_stage_degree_level_and_link(monkeypatch,
     from khs.tables import builtin_diagram
 
     monkeypatch.setattr(_Pipeline, "witness", lambda *args: None)
-    monkeypatch.setattr(_Pipeline, "all_witnesses", lambda *args: [])
+    monkeypatch.setattr(_Pipeline, "first_witness", lambda *args: None)
     code, out, err = run(capsys, "compute", "--link", "trefoil",
                          "--char", "2", "--theta", "sq1", "--format", "json")
     assert code == 3 and out == ""
@@ -461,3 +461,49 @@ def test_sq1_failure_names_degree_level_and_link(monkeypatch, capsys):
     link = serialize_pd(builtin_diagram("9_42"))
     assert ("Sq¹ output is not a cycle in its slice at q=1, h=0, "
             f"for link {link}") in err
+
+
+def test_verify_exits_4_on_a_failing_case(monkeypatch, capsys):
+    # [TRIVIAL] a suite with a failing case prints its report with pass
+    # false, names the first failing case on stderr and exits 4.
+    import khs.cli
+
+    monkeypatch.setitem(khs.cli._SUITES, "prop2", lambda args: [
+        {"case": "good", "pass": True}, {"case": "bad", "pass": False},
+        {"case": "worse", "pass": False}])
+    code, out, err = run(capsys, "verify", "prop2")
+    assert code == EXIT_VERIFY
+    assert json.loads(out)["pass"] is False
+    assert "FAIL: first failing case: bad" in err
+
+
+def test_sublevel_failure_names_the_link(monkeypatch, capsys):
+    # [TRIVIAL] the refined pipeline appends the link to the exit-3
+    # message of sublevel_homology, as to every message of its own.  The
+    # first level asked is the trefoil's top degree-0 level, q = 5.
+    import khs.complexes
+    from khs.links import serialize_pd
+    from khs.tables import builtin_diagram
+
+    monkeypatch.setattr(khs.complexes, "class_coords", lambda *args: [None])
+    code, out, err = run(capsys, "compute", "--link", "trefoil",
+                         "--char", "2", "--theta", "sq1", "--format", "json")
+    assert code == 3 and out == ""
+    link = serialize_pd(builtin_diagram("trefoil"))
+    assert ("sublevel cycle is not a cycle of C at q=5, h=0, for link "
+            f"{link}") in err
+
+
+def test_braid_component_count_failure_names_the_word(monkeypatch, capsys):
+    # [TRIVIAL] a braid closure whose diagram disagrees with the braid's
+    # permutation on the component count exits 3 naming the word and the
+    # strand count.
+    import khs.links
+
+    monkeypatch.setattr(khs.links, "_closure_components",
+                        lambda n, word: [0] * n)
+    code, out, err = run(capsys, "compute", "--link", "torus:3:1",
+                         "--format", "json")
+    assert code == 3 and out == ""
+    assert ("braid closure has the wrong component count, for braid word "
+            "[1, 2, 1, 2, 1, 2] on 3 strands") in err

@@ -21,7 +21,7 @@ from khs.complexes import (
 )
 from khs.cube import build_complex
 from khs.links import TorusLinkSpec, torus_link, trefoil
-from khs.refined_s import _Pipeline
+from khs.refined_s import _diagram_pipeline
 from khs.tables import builtin_diagram
 from tests.conftest import small_braid
 
@@ -176,7 +176,7 @@ def test_reduction_order_of_the_9_42_deformed_cube(char, digest):
     # cancellation steps and the reduced complex hash to the same digest.
     # Certificates are transported through these steps (and stdout carries
     # them), so a faster reduction must reproduce them exactly.
-    dec = _Pipeline(builtin_diagram("9_42"), char).dec
+    dec = _diagram_pipeline(builtin_diagram("9_42"), char)[0].dec
     assert _reduction_digest(dec) == digest
 
 

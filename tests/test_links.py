@@ -231,16 +231,52 @@ def test_mixed_sign_braids_are_planar():
 def test_reversed_strands_flag_their_component():
     # [DERIVED] reversing one component of a two-component link flips the
     # sign of every crossing between the components.
+    # The strand starting at position 3 never passes under, so it is
+    # flagged too: that makes it run up the braid like the others.
     d = braid_closure(3, [-1, -1, 2, -2], reversed_strands=[2])
     comp = d.arc_component[2]  # the strand starting at position 2
-    assert d.component_orientations == [i == comp for i in range(3)]
+    up = d.arc_component[3]
+    assert d.component_orientations == [i in (comp, up) for i in range(3)]
     hopf_neg = braid_closure(2, [-1, -1])
     assert hopf_neg.writhe() == -2
     assert braid_closure(2, [-1, -1], reversed_strands=[2]).writhe() == 2
-    # an untouched position closes to a free loop, flagged in its own slot
+    # an untouched position closes to a free loop, flagged in its own slot;
+    # the strand starting at position 2 never passes under, so it is
+    # flagged as above
     e = braid_closure(3, [1, -1], reversed_strands=[3])
-    assert e.free_loops == 1 and e.component_orientations == [
-        False, False, True]
+    assert e.free_loops == 1 and e.arc_component[2] == 1
+    assert e.component_orientations == [False, True, True]
+
+
+def _letter_of_quad(n, word):
+    """Quadruple -> letter, for the crossings braid_closure lays out: arcs
+    1..n enter the bottom, each letter adds two arcs above it, and the
+    closure names the top arcs after the bottom ones."""
+    seg, nxt, quads = list(range(1, n + 1)), n + 1, []
+    for letter in word:
+        i = abs(letter) - 1
+        bl, br, tl, tr = seg[i], seg[i + 1], nxt, nxt + 1
+        nxt += 2
+        quads.append(((bl, tl, tr, br) if letter > 0 else (br, bl, tl, tr),
+                      letter))
+        seg[i], seg[i + 1] = tl, tr
+    top = dict(zip(seg, range(1, n + 1)))
+    return {tuple(top.get(a, a) for a in q): letter for q, letter in quads}
+
+
+def test_braid_letters_give_their_crossing_signs():
+    # [DERIVED] with no strand reversed, every strand of a closed braid
+    # runs up, so each crossing has its letter's sign; that includes
+    # components that never pass under, as in σ₁σ₁⁻¹.  The corpus is every
+    # word of up to 4 letters on 2 and 3 strands and of up to 3 on 4.
+    words = (enumerate_braids(max_len=4, strands=(2, 3))
+             + enumerate_braids(max_len=3, strands=(4,)))
+    assert len(words) == 628
+    for n, word in words:
+        d = braid_closure(n, word)
+        letters = _letter_of_quad(n, word)
+        assert [d.sign(ci) for ci in range(d.n_crossings)] == [
+            1 if letters[c.quad] > 0 else -1 for c in d.crossings], word
 
 
 # -- reference label parities by face tracing and a region tree ---------------

@@ -269,3 +269,30 @@ def test_canonical_classes_sit_in_linking_degrees():
             cx = build_complex(d, theory, ring).complex
             got = filtered_reduce(cx).reduced.homology_field()
             assert got == want, (name, theory)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(1, n - 1), st.integers(0, 6)),
+             max_size=(7 - (n - 1)) // 2))))
+def test_positive_braid_knots_have_the_closed_form_s(case):
+    """[PAPER] A positive braid knot with w letters on n strands has
+    s = w − n + 1, twice its genus (Rasmussen's bound is sharp on positive
+    knots), over ℚ and over 𝔽₂; its mirror has s = −(w − n + 1).
+
+    The word σ₁⋯σ_{n−1} with squares σᵢ² inserted anywhere closes to a
+    knot, since a square does not change the braid's permutation.
+    """
+    n, squares = case
+    word = list(range(1, n))
+    for i, at in squares:
+        at %= len(word) + 1
+        word[at:at] = [i, i]
+    d = braid_closure(n, word)
+    assert d.component_count == 1
+    s = len(word) - n + 1
+    for char in (0, 2):
+        assert s_classical(d, char) == s
+        assert s_classical(d.mirror(), char) == -s

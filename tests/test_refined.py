@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from khs.bockstein import sq1
-from khs.complexes import q_slice, unreduced
+from khs.complexes import FilteredComplex, filtered_reduce, q_slice, unreduced
 from khs.cube import build_complex
 from khs.linalg import GF2
 from khs.links import (
@@ -24,6 +24,8 @@ from khs.refined_s import (
     ZERO,
     ThetaOperation,
     _Pipeline,
+    _certificate_holds,
+    _diagram_pipeline,
     adjunction_bound,
     disjoint_union_check,
     refined_invariants,
@@ -85,8 +87,8 @@ def test_zero_theta_identity():
         for char in (0, 2):
             res = refined_invariants(d, ZERO, char=char)
             assert res.r_plus == res.s_classical == res.s_plus
-            pipe = _Pipeline(d, char)
-            lvls = pipe.degree0_levels()
+            pipe = _diagram_pipeline(d, char)[0]
+            lvls = pipe.cx0.levels[0]
             dims = {q: pipe.v_dim(q, "zero")
                     for q in range(min(lvls) - 2, max(lvls) + 1, 2)}
             assert max(q for q, v in dims.items() if v >= 1) + 1 == res.r_plus
@@ -365,18 +367,18 @@ def test_fullness_profile_unknot():
     # (dim 1) at q = s + 1, empty from q = s + 3 on; so
     # s = max{full} + 1 = max{half-full} - 1.  dim im(j) ∩ W is v_dim's
     # "plain" mode.
-    pipe = _Pipeline(unknot(), 0)
+    pipe = _diagram_pipeline(unknot(), 0)[0]
     assert [pipe.v_dim(q, "plain") for q in (-1, 1, 3)] == [2, 1, 0]
     d = trefoil()
     s = s_classical(d, char=2)
-    pipe = _Pipeline(d, 2)
+    pipe = _diagram_pipeline(d, 2)[0]
     assert [pipe.v_dim(q, "plain") for q in (s - 1, s + 1, s + 3)] == \
         [2, 1, 0]
 
 
 def test_fullness_monotone_in_q():
     # [DERIVED] dim im(j) ∩ W is decreasing in q.
-    pipe = _Pipeline(hopf_link(), 2)
+    pipe = _diagram_pipeline(hopf_link(), 2)[0]
     dims = [pipe.v_dim(q, "plain") for q in range(-6, 7, 2)]
     assert dims == sorted(dims, reverse=True)
 
@@ -396,18 +398,78 @@ def test_theta_rank_matches_unreduced_bockstein(optimized):
         links[word] = braid_closure(3, list(word))
     nonzero = {}
     for name, d in links.items():
-        pipe = _Pipeline(d, 2, optimized)
-        lv = pipe.cube.complex.levels
+        pipe = _diagram_pipeline(d, 2, optimized)[0]
+        lv = pipe.cx0.levels
         for q in sorted(set(lv.get(-1, [])) | set(lv.get(0, []))):
             cols = [{g: v for g, v in enumerate(coords) if v}
                     for _, coords in pipe.theta_data(q)]
             rank = GF2.rank(cols)
-            zsl = q_slice(pipe.cube_z.complex, q)[0]
+            zsl = q_slice(pipe.cx_z(), q)[0]
             assert rank == sq1(unreduced(zsl), 0).rank, (name, q)
             if rank:
                 nonzero[name, q] = rank
     assert nonzero == {("9_42", 1): 1, ((1, 1, -2, 1, -2, -2, -2), -2): 2,
                        ((1, -2, -2, 1, 1, -2, 1), 0): 2}
+
+
+# ---------------------------------------------------------------------------
+# a hand-built complex on which r_plus or s_plus is s + 2
+# ---------------------------------------------------------------------------
+
+
+def _sq1_fixture(level):
+    """Pipeline inputs on which Sq¹ hits one level.
+
+    Over 𝔽₂, degree −1 has one generator a at ``level``, degree 0 has 1 at
+    level 1 and x at level −1, and d = 0; 𝔰_𝔬 = x and 𝔰_𝔬̄ = 1 + x, so
+    s = 0.  Over ℤ the levels are the same and d(a) = 2·1 (level 1) or
+    2·x (level −1), so Sq¹(a) is that generator mod 2.
+    """
+    levels = {-1: [level], 0: [1, -1]}
+    cx0 = FilteredComplex("gf2", levels, {-1: [{}], 0: [{}, {}]})
+    cx_z = FilteredComplex("Z", levels, {-1: [{0 if level == 1 else 1: 2}],
+                                         0: [{}, {}]})
+    return cx0, ({1: 1}, {0: 1, 1: 1}), lambda: cx_z
+
+
+@pytest.mark.parametrize("reduce", [filtered_reduce, unreduced])
+@pytest.mark.parametrize("level, values, name, q", [
+    (1, (0, 2, 0), "r_plus", 1),
+    (-1, (0, 0, 2), "s_plus", -1),
+])
+def test_sq1_reaches_s_plus_2_on_a_hand_built_complex(reduce, level, values,
+                                                      name, q):
+    # [DERIVED] where Sq¹ hits the level-1 generator, [𝔰_𝔬] + [𝔰_𝔬̄] = [1]
+    # is θ-half-full at q = s + 1 and r_plus = s + 2; where it hits x,
+    # [𝔰_𝔬] = [x] is θ-full at q = s − 1 and s_plus = s + 2.  The
+    # certificate of that claim sits at q and has u = {a}.  With θ = 0
+    # nothing is refined.
+    cx0, canon, z_source = _sq1_fixture(level)
+    pipe = _Pipeline(cx0, canon, z_source, reduce, "fixture")
+    s, r_plus, s_plus, certs = pipe.invariants("sq1")
+    assert (s, r_plus, s_plus) == values
+    assert (certs[name].q, certs[name].u) == (q, {0: 1})
+    assert pipe.invariants("zero")[:3] == (0, 0, 0)
+
+
+@pytest.mark.parametrize("level", [1, -1])
+@pytest.mark.parametrize("mode", ["sq1", "zero"])
+def test_validator_core_checks_hand_built_certificates(level, mode):
+    # [DERIVED] every certificate of the hand-built complex passes the
+    # validator's chain checks; moving it to q + 2, flipping α or emptying
+    # a nonempty u makes it fail.
+    cx0, canon, z_source = _sq1_fixture(level)
+    pipe = _Pipeline(cx0, canon, z_source, filtered_reduce, "fixture")
+    certs = pipe.invariants(mode)[3]
+    for cert in certs.values():
+        assert _certificate_holds(cx0, canon, z_source, cert)
+        bad = [dataclasses.replace(cert, q=cert.q + 2),
+               dataclasses.replace(cert, alpha=1 - cert.alpha)]
+        if cert.u:
+            bad.append(dataclasses.replace(cert, u={}))
+        for b in bad:
+            assert not _certificate_holds(cx0, canon, z_source, b)
+    assert any(c.u for c in certs.values()) == (mode == "sq1")
 
 
 # ---------------------------------------------------------------------------
