@@ -1,10 +1,11 @@
 """Sq¹ on mod-2 Khovanov homology as the integral Bockstein.
 
-Computed by the lift–divide method on one decomposed integral q-slice: a
-mod-2 homology basis of the reduced slice is lifted to integral chains
-with 0/1 coefficients in the reduced slice's own generator basis, their
-integral boundary is asserted to be exactly divisible by 2, and the class
-of the halved boundary mod 2 is the Bockstein image.
+Sq¹ is the Bockstein of 0 → ℤ/2 → ℤ/4 → ℤ/2 → 0, computed by the
+lift–divide method (:func:`bockstein_chain`, on any integral complex): a
+mod-2 cycle is lifted to the integral chain with 0/1 coefficients, its
+integral boundary is asserted to be exactly divisible by 2, and the halved
+boundary mod 2 is the Bockstein image.  :func:`sq1` writes the map in
+mod-2 homology bases of one decomposed integral q-slice.
 """
 
 from __future__ import annotations
@@ -50,13 +51,10 @@ def bockstein_chain(cx_z: FilteredComplex, h: int, cycle: Column) -> Column:
 
 @dataclass
 class BocksteinMap:
-    """Sq¹: Kh^{i−1,q}(𝔽₂) → Kh^{i,q}(𝔽₂) of one reduced ℤ slice: the
-    mod-2 homology basis ``sources`` at degree i−1, their Bockstein chains
-    ``images`` at degree i (both in the reduced slice's basis), and one
-    target-coordinate vector per source in ``matrix``."""
+    """Sq¹: Kh^{i−1,q}(𝔽₂) → Kh^{i,q}(𝔽₂) of one reduced ℤ slice, as one
+    target-coordinate vector per mod-2 homology basis class at degree i−1
+    in ``matrix``."""
 
-    sources: list[Column]
-    images: list[Column]
     matrix: list[list[int]]
 
     @property
@@ -78,7 +76,7 @@ def sq1(zdec: DecomposedComplex, i: int) -> BocksteinMap:
         src = sources[matrix.index(None)]
         raise AssertionError("Sq¹ output is not a cycle in its slice at "
                              f"q={zred.levels[i - 1][min(src)]}, h={i}")
-    return BocksteinMap(sources, images, matrix)
+    return BocksteinMap(matrix)
 
 
 def sq1_table(d: OrientedLinkDiagram) -> dict[tuple[int, int], int]:

@@ -147,8 +147,8 @@ class _Pipeline:
     The inputs: the deformed complex ``cx0`` (its ring gives the
     characteristic), its degree-0 chains ``canon`` = (𝔰_𝔬, 𝔰_𝔬̄), a
     zero-argument ``z_source`` of the integral Khovanov complex on the same
-    generators (called once, by Sq¹ only), ``reduce`` (:func:`filtered_reduce`
-    cancels jump-0 pairs of ``cx0`` and of each integral q-slice; the naive
+    generators (called once, by Sq¹ only, for its Bockstein), ``reduce``
+    (:func:`filtered_reduce` cancels jump-0 pairs of ``cx0``; the naive
     :func:`unreduced` cancels nothing) and the ``link`` that exit-3
     messages name.  Certificates are chains over the indices of ``cx0``.
     """
@@ -158,7 +158,6 @@ class _Pipeline:
         self.cx0 = cx0
         self.canon = canon
         self.char = 2 if cx0.ring == "gf2" else 0
-        self.reduce = reduce
         self.link = link
         self.ops = cx0.ops
         self.cx_z = cache(z_source)
@@ -205,41 +204,39 @@ class _Pipeline:
     def theta_data(self, q: int) -> list[tuple[Column, list]]:
         """Per Sq¹-source basis class: (source cycle in original Khovanov
         coordinates at degree −1, coordinates of its Sq¹ image in the
-        gr-homology basis of :meth:`gr`)."""
+        gr-homology basis of :meth:`gr`).
+
+        Over 𝔽₂, gr_q of the Bar-Natan cube is the mod-2 Khovanov slice.
+        The lift out of the reduction is a filtered chain map, so the
+        level-q parts of the lifted degree −1 gr-homology basis are a basis
+        of Kh^{−1,q}(𝔽₂); their Bockstein on the ℤ cube is pushed back."""
         if self.char != 2:
             raise ValueError("Sq¹ refinement needs characteristic 2")
         if q in self._theta_cache:
             return self._theta_cache[q]
-        zsl, zkeep = q_slice(self.cx_z(), q)
-        out: list[tuple[Column, list]] = []
-        if zsl.dim(-1) and zsl.dim(0):
-            zdec = self.reduce(zsl)
+        gcx, gkeep, greps = self.gr(q)
+        back = gkeep.get(-1, [])
+        gpos = {g: k for k, g in enumerate(gkeep.get(0, []))}
+        lv = self.cx0.levels.get(-1, [])
+        us, images = [], []
+        for rep in homology_reps(gcx, -1):
+            lifted = lift_chain(self.dec, -1,
+                                {back[k]: v for k, v in rep.items()})
+            us.append({i: 1 for i, v in lifted.items()
+                       if lv[i] == q and v % 2})
             try:
-                bm = sq1(zdec, 0)
+                w = bockstein_chain(self.cx_z(), -1, us[-1])
             except AssertionError as e:
                 # its message ends "at q=…, h=0", as _failure's would
                 raise AssertionError(f"{e}, for link {self.link}") from e
-            back_src, back_tgt = zkeep.get(-1, []), zkeep.get(0, [])
-            gcx, gkeep, greps = self.gr(q)
-            gpos = {g: k for k, g in enumerate(gkeep.get(0, []))}
-            us, images = [], []
-            for rep, img in zip(bm.sources, bm.images):
-                # lift the mod-2 chains through the integral reduction and
-                # keep their odd entries
-                u_loc = lift_chain(zdec, -1, rep)
-                w_loc = lift_chain(zdec, 0, img)
-                us.append({back_src[k]: 1 for k, v in u_loc.items() if v % 2})
-                w_orig = {back_tgt[k]: 1 for k, v in w_loc.items() if v % 2}
-                # the image in the gr basis of the working complex
-                w_cx = push_chain(self.dec, 0, w_orig)
-                images.append({gpos[i]: v for i, v in w_cx.items()
-                               if i in gpos})
-            coords = class_coords(gcx, 0, greps, images)
-            if None in coords:
-                raise AssertionError(self._failure(
-                    "Sq¹ image is not a graded cycle", q))
-            out = list(zip(us, coords))
-        self._theta_cache[q] = out
+            # the image in the gr basis of the working complex
+            images.append({gpos[i]: v for i, v in
+                           push_chain(self.dec, 0, w).items() if i in gpos})
+        coords = class_coords(gcx, 0, greps, images)
+        if None in coords:
+            raise AssertionError(self._failure(
+                "Sq¹ image is not a graded cycle", q))
+        self._theta_cache[q] = out = list(zip(us, coords))
         return out
 
     # -- the fullness linear systems -----------------------------------------

@@ -383,8 +383,11 @@ def test_sublevel_failure_names_degree_and_level(monkeypatch, capsys,
                                                  failing, message):
     # [TRIVIAL] when a sublevel cycle has no coordinates in H(C) (its j
     # image) or its level-q part none in H(gr_q C) (its p image), the
-    # exit-3 message names q and h; stdout stays empty.  The pipeline asks
-    # for q = s+1 = 3 first on the trefoil (its r₊ test).
+    # exit-3 message names q and h; stdout stays empty.  s_value scans
+    # down from the trefoil's top degree-0 level, q = 5, but its reduced
+    # complex has no degree-0 generator at level ≥ 5: H⁰(C^{≥5}) has no
+    # cycle there, so the patch returns an empty list for both images.
+    # The first cycle, and so the first failure, comes at q = 3.
     import khs.complexes
 
     real = khs.complexes.class_coords
@@ -446,21 +449,49 @@ def test_oracle_mismatch_names_values_and_link(monkeypatch, capsys):
 
 
 def test_sq1_failure_names_degree_level_and_link(monkeypatch, capsys):
-    # [TRIVIAL] when a Bockstein image is not a cycle of its ℤ slice, the
-    # exit-3 message names h, q and the link; stdout stays empty.  On 9_42
-    # (s = 0) the first level with a Sq¹ source is q = s+1 = 1.
-    import khs.bockstein
+    # [TRIVIAL] both exit-3 messages of the Sq¹ data name h, q and the
+    # link, and stdout stays empty.  On 9_42 (s = 0) the first level with
+    # a Sq¹ source is q = s+1 = 1.  First, a source that is not a mod-2
+    # cycle: one generator at its level whose boundary is odd is toggled,
+    # so the Bockstein's lift-divide fails.  Second, an image without
+    # coordinates in the gr-homology basis: the pipeline's first
+    # class_coords call places the canonical chains, the second the Sq¹
+    # images.
+    import khs.refined_s
     from khs.links import serialize_pd
     from khs.tables import builtin_diagram
 
-    monkeypatch.setattr(khs.bockstein, "class_coords",
-                        lambda cx, h, reps, cycles: [None] * len(cycles))
-    code, out, err = run(capsys, "compute", "--link", "9_42",
-                         "--char", "2", "--theta", "sq1", "--format", "json")
-    assert code == 3 and out == ""
     link = serialize_pd(builtin_diagram("9_42"))
-    assert ("Sq¹ output is not a cycle in its slice at q=1, h=0, "
-            f"for link {link}") in err
+    real_bockstein = khs.refined_s.bockstein_chain
+
+    def bockstein_chain(cx_z, h, cycle):
+        lv, cols = cx_z.levels[h], cx_z.columns(h)
+        q = lv[min(cycle)]
+        j = next(j for j, c in enumerate(cols)
+                 if lv[j] == q and any(v % 2 for v in c.values()))
+        return real_bockstein(cx_z, h, {**cycle, j: cycle.get(j, 0) + 1})
+
+    real_coords = khs.refined_s.class_coords
+    calls = []
+
+    def class_coords(cx, h, reps, cycles):
+        calls.append(h)
+        if len(calls) == 1:
+            return real_coords(cx, h, reps, cycles)
+        return [None] * len(cycles)
+
+    for name, patch, stage in [
+            ("bockstein_chain", bockstein_chain,
+             "Bockstein lift-divide failed"),
+            ("class_coords", class_coords, "Sq¹ image is not a graded cycle")]:
+        with monkeypatch.context() as m:
+            m.setattr(khs.refined_s, name, patch)
+            code, out, err = run(capsys, "compute", "--link", "9_42",
+                                 "--char", "2", "--theta", "sq1",
+                                 "--format", "json")
+        assert code == 3 and out == ""
+        assert stage in err
+        assert f"at q=1, h=0, for link {link}" in err
 
 
 def test_verify_exits_4_on_a_failing_case(monkeypatch, capsys):

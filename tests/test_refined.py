@@ -2,11 +2,21 @@
 
 import copy
 import dataclasses
+import random
 
 import pytest
 
-from khs.bockstein import sq1
-from khs.complexes import FilteredComplex, filtered_reduce, q_slice, unreduced
+from khs.bockstein import bockstein_chain, sq1
+from khs.complexes import (
+    FilteredComplex,
+    class_coords,
+    filtered_reduce,
+    homology_reps,
+    lift_chain,
+    push_chain,
+    q_slice,
+    unreduced,
+)
 from khs.cube import build_complex
 from khs.linalg import GF2
 from khs.links import (
@@ -383,33 +393,80 @@ def test_fullness_monotone_in_q():
     assert dims == sorted(dims, reverse=True)
 
 
-@pytest.mark.parametrize("optimized", [True, False])
-def test_theta_rank_matches_unreduced_bockstein(optimized):
-    # [DERIVED] theta_data(q) lifts Sq¹ through reduced integral slices
-    # and writes it in the gr-homology basis of the Bar-Natan complex,
-    # which at level q is the mod-2 Khovanov complex; the reference here
-    # is bockstein.sq1 on the unreduced integral q-slice.  Both are Sq¹:
-    # Kh^{-1,q} → Kh^{0,q}, so their ranks agree at every level of
-    # degrees −1 and 0.
+def _reference_theta_columns(pipe, q, reduce):
+    """The θ columns at q by the route through the reduced ℤ slice: reduce
+    the integral q-slice, take a mod-2 homology basis of degree −1 there,
+    its Bockstein in the reduced slice, lift that through the slice's
+    reduction, push it through the deformed one and cut it to level q."""
+    zsl, zkeep = q_slice(pipe.cx_z(), q)
+    if not (zsl.dim(-1) and zsl.dim(0)):
+        return []
+    zdec = reduce(zsl)
+    zred = zdec.reduced
+    f2 = FilteredComplex("gf2", zred.levels, zred.diff)
+    gcx, gkeep, greps = pipe.gr(q)
+    gpos = {g: k for k, g in enumerate(gkeep.get(0, []))}
+    back = zkeep.get(0, [])
+    images = []
+    for rep in homology_reps(f2, -1):
+        img = lift_chain(zdec, 0, bockstein_chain(zred, -1, rep))
+        w = {back[k]: 1 for k, v in img.items() if v % 2}
+        images.append({gpos[i]: v for i, v in
+                       push_chain(pipe.dec, 0, w).items() if i in gpos})
+    return [{g: v for g, v in enumerate(coords) if v}
+            for coords in class_coords(gcx, 0, greps, images)]
+
+
+def _theta_oracle_links():
+    """Builtins, two closures with nonzero Sq¹ and 15 seeded closures of
+    mixed-sign words with 4–8 crossings on 3 strands, some strands
+    reversed; 3 of those 15 have Sq¹ sources (at 6 levels), and 1 has
+    nonzero Sq¹."""
     links = {name: builtin_diagram(name) for name in
              ("unknot", "trefoil", "trefoil_mirror", "hopf", "hopf_neg",
               "torus:3:0", "torus:3:1", "9_42")}
     for word in ((1, 1, -2, 1, -2, -2, -2), (1, -2, -2, 1, 1, -2, 1)):
         links[word] = braid_closure(3, list(word))
+    rng = random.Random(43)
+    while len(links) < 25:
+        word = [rng.choice((1, -1)) * rng.randrange(1, 3)
+                for _ in range(rng.randint(4, 8))]
+        if min(word) > 0 or max(word) < 0:
+            continue
+        rev = [s for s in (1, 2, 3) if rng.random() < 0.3]
+        links[tuple(word), tuple(rev)] = braid_closure(3, word, rev)
+    return links
+
+
+@pytest.mark.parametrize("optimized", [True, False])
+def test_theta_rank_matches_unreduced_bockstein(optimized):
+    # [DERIVED] theta_data(q) lifts the degree −1 gr-homology basis out of
+    # the deformed reduction, takes its Bockstein on the whole ℤ cube and
+    # pushes it back, in the gr-homology basis of the Bar-Natan complex,
+    # which at level q is the mod-2 Khovanov complex.  One reference is
+    # bockstein.sq1 on the unreduced integral q-slice: both are Sq¹:
+    # Kh^{-1,q} → Kh^{0,q}, so their sources and ranks agree in number at
+    # every level of degrees −1 and 0.  The other reduces the ℤ slice and lifts Sq¹ out of it:
+    # its sources are another basis of Kh^{-1,q}, so the θ columns span
+    # the same space.
+    reduce = filtered_reduce if optimized else unreduced
     nonzero = {}
-    for name, d in links.items():
+    for name, d in _theta_oracle_links().items():
         pipe = _diagram_pipeline(d, 2, optimized)[0]
         lv = pipe.cx0.levels
         for q in sorted(set(lv.get(-1, [])) | set(lv.get(0, []))):
             cols = [{g: v for g, v in enumerate(coords) if v}
                     for _, coords in pipe.theta_data(q)]
             rank = GF2.rank(cols)
-            zsl = q_slice(pipe.cx_z(), q)[0]
-            assert rank == sq1(unreduced(zsl), 0).rank, (name, q)
+            bm = sq1(unreduced(q_slice(pipe.cx_z(), q)[0]), 0)
+            assert (len(cols), rank) == (len(bm.matrix), bm.rank), (name, q)
+            ref = _reference_theta_columns(pipe, q, reduce)
+            assert GF2.rank(ref) == rank == GF2.rank(cols + ref), (name, q)
             if rank:
                 nonzero[name, q] = rank
     assert nonzero == {("9_42", 1): 1, ((1, 1, -2, 1, -2, -2, -2), -2): 2,
-                       ((1, -2, -2, 1, 1, -2, 1), 0): 2}
+                       ((1, -2, -2, 1, 1, -2, 1), 0): 2,
+                       (((-2, -2, -2, -1, 1, 1, 1), (1, 2)), -2): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +477,20 @@ def test_theta_rank_matches_unreduced_bockstein(optimized):
 def _sq1_fixture(level):
     """Pipeline inputs on which Sq¹ hits one level.
 
-    Over 𝔽₂, degree −1 has one generator a at ``level``, degree 0 has 1 at
-    level 1 and x at level −1, and d = 0; 𝔰_𝔬 = x and 𝔰_𝔬̄ = 1 + x, so
-    s = 0.  Over ℤ the levels are the same and d(a) = 2·1 (level 1) or
-    2·x (level −1), so Sq¹(a) is that generator mod 2.
+    Over 𝔽₂, degree −1 has generators a and b at ``level``, degree 0 has 1
+    at level 1, x at level −1 and c at ``level``, and d a = d b = c; 𝔰_𝔬 =
+    x and 𝔰_𝔬̄ = 1 + x, so s = 0.  The levels are the same over ℤ, where
+    d a = c + 2t and d b = −c, t being the degree-0 generator at
+    ``level`` among 1 and x.  So H^{−1} is spanned by a + b, and Sq¹(a + b)
+    = t.  :func:`filtered_reduce` cancels a against c, so the source a + b
+    comes out of the reduction through :func:`lift_chain`.
     """
-    levels = {-1: [level], 0: [1, -1]}
-    cx0 = FilteredComplex("gf2", levels, {-1: [{}], 0: [{}, {}]})
-    cx_z = FilteredComplex("Z", levels, {-1: [{0 if level == 1 else 1: 2}],
-                                         0: [{}, {}]})
+    t = 0 if level == 1 else 1
+    levels = {-1: [level, level], 0: [1, -1, level]}
+    cx0 = FilteredComplex("gf2", levels,
+                          {-1: [{2: 1}, {2: 1}], 0: [{}, {}, {}]})
+    cx_z = FilteredComplex("Z", levels, {-1: [{2: 1, t: 2}, {2: -1}],
+                                         0: [{}, {}, {}]})
     return cx0, ({1: 1}, {0: 1, 1: 1}), lambda: cx_z
 
 
@@ -442,13 +504,17 @@ def test_sq1_reaches_s_plus_2_on_a_hand_built_complex(reduce, level, values,
     # [DERIVED] where Sq¹ hits the level-1 generator, [𝔰_𝔬] + [𝔰_𝔬̄] = [1]
     # is θ-half-full at q = s + 1 and r_plus = s + 2; where it hits x,
     # [𝔰_𝔬] = [x] is θ-full at q = s − 1 and s_plus = s + 2.  The
-    # certificate of that claim sits at q and has u = {a}.  With θ = 0
-    # nothing is refined.
+    # certificate of that claim sits at q and has u = a + b, whether or
+    # not the reduction cancelled a against c, and every certificate
+    # passes the validator's chain checks.  With θ = 0 nothing is refined.
     cx0, canon, z_source = _sq1_fixture(level)
     pipe = _Pipeline(cx0, canon, z_source, reduce, "fixture")
+    assert pipe.cx.dim(-1) == (1 if reduce is filtered_reduce else 2)
     s, r_plus, s_plus, certs = pipe.invariants("sq1")
     assert (s, r_plus, s_plus) == values
-    assert (certs[name].q, certs[name].u) == (q, {0: 1})
+    assert (certs[name].q, certs[name].u) == (q, {0: 1, 1: 1})
+    assert all(_certificate_holds(cx0, canon, z_source, cert)
+               for cert in certs.values())
     assert pipe.invariants("zero")[:3] == (0, 0, 0)
 
 
@@ -456,8 +522,9 @@ def test_sq1_reaches_s_plus_2_on_a_hand_built_complex(reduce, level, values,
 @pytest.mark.parametrize("mode", ["sq1", "zero"])
 def test_validator_core_checks_hand_built_certificates(level, mode):
     # [DERIVED] every certificate of the hand-built complex passes the
-    # validator's chain checks; moving it to q + 2, flipping α or emptying
-    # a nonempty u makes it fail.
+    # validator's chain checks; moving it to q + 2, flipping α, emptying a
+    # nonempty u or cutting it to {a}, which is not a mod-2 cycle, makes
+    # it fail.
     cx0, canon, z_source = _sq1_fixture(level)
     pipe = _Pipeline(cx0, canon, z_source, filtered_reduce, "fixture")
     certs = pipe.invariants(mode)[3]
@@ -466,7 +533,8 @@ def test_validator_core_checks_hand_built_certificates(level, mode):
         bad = [dataclasses.replace(cert, q=cert.q + 2),
                dataclasses.replace(cert, alpha=1 - cert.alpha)]
         if cert.u:
-            bad.append(dataclasses.replace(cert, u={}))
+            bad += [dataclasses.replace(cert, u={}),
+                    dataclasses.replace(cert, u={0: 1})]
         for b in bad:
             assert not _certificate_holds(cx0, canon, z_source, b)
     assert any(c.u for c in certs.values()) == (mode == "sq1")
