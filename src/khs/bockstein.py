@@ -5,12 +5,11 @@ lift–divide method (:func:`bockstein_chain`, on any integral complex): a
 mod-2 cycle is lifted to the integral chain with 0/1 coefficients, its
 integral boundary is asserted to be exactly divisible by 2, and the halved
 boundary mod 2 is the Bockstein image.  :func:`sq1` writes the map in
-mod-2 homology bases of one decomposed integral q-slice.
+mod-2 homology bases of one decomposed integral q-slice, as one sparse
+coordinate column per source class.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import linalg
 from .complexes import (
@@ -49,34 +48,22 @@ def bockstein_chain(cx_z: FilteredComplex, h: int, cycle: Column) -> Column:
     return out
 
 
-@dataclass
-class BocksteinMap:
-    """Sq¹: Kh^{i−1,q}(𝔽₂) → Kh^{i,q}(𝔽₂) of one reduced ℤ slice, as one
-    target-coordinate vector per mod-2 homology basis class at degree i−1
-    in ``matrix``."""
-
-    matrix: list[list[int]]
-
-    @property
-    def rank(self) -> int:
-        return linalg.gf2_rank(
-            [sum(b << k for k, b in enumerate(row)) for row in self.matrix])
-
-
-def sq1(zdec: DecomposedComplex, i: int) -> BocksteinMap:
-    """The Bockstein map into degree i of one integral q-slice, given as
-    its :func:`filtered_reduce` (or, for the naive path, ``unreduced``)."""
+def sq1(zdec: DecomposedComplex, i: int) -> list[Column]:
+    """Sq¹: Kh^{i−1,q}(𝔽₂) → Kh^{i,q}(𝔽₂) of one integral q-slice, given
+    as its :func:`filtered_reduce` (or, for the naive path, ``unreduced``):
+    per mod-2 homology basis class at degree i−1, the sparse
+    :func:`class_coords` column of its image in the basis at degree i."""
     zred = zdec.reduced
     f2 = FilteredComplex("gf2", zred.levels, zred.diff)
     sources = homology_reps(f2, i - 1)
     images = [bockstein_chain(zred, i - 1, r) for r in sources]
-    matrix = class_coords(f2, i, homology_reps(f2, i), images)
-    if None in matrix:
+    coords = class_coords(f2, i, homology_reps(f2, i), images)
+    if None in coords:
         # a basis source is nonzero and has the level of its image
-        src = sources[matrix.index(None)]
+        src = sources[coords.index(None)]
         raise AssertionError("Sq¹ output is not a cycle in its slice at "
                              f"q={zred.levels[i - 1][min(src)]}, h={i}")
-    return BocksteinMap(matrix)
+    return coords
 
 
 def sq1_table(d: OrientedLinkDiagram) -> dict[tuple[int, int], int]:
@@ -86,6 +73,6 @@ def sq1_table(d: OrientedLinkDiagram) -> dict[tuple[int, int], int]:
     for q, sl, _ in q_slices(build_complex(d, "khovanov", "Z").complex):
         zdec = filtered_reduce(sl)
         for h in zdec.reduced.degrees():
-            if r := sq1(zdec, h + 1).rank:
+            if r := linalg.GF2.rank(sq1(zdec, h + 1)):
                 out[(h + 1, q)] = r
     return dict(sorted(out.items()))

@@ -198,18 +198,20 @@ def homology_reps(cx: FilteredComplex, h: int) -> list[Column]:
 
 
 def class_coords(cx: FilteredComplex, h: int, reps: list[Column],
-                 cycles: list[Column]) -> list[list | None]:
-    """Per cycle, the coordinates of its class in the basis ``reps``.
+                 cycles: list[Column]) -> list[Column | None]:
+    """Per cycle, the coordinates of its class in the basis ``reps``, as a
+    sparse column: keys ``k < len(reps)`` in increasing order, no zero
+    values.
 
     None marks a cycle outside the span of reps + boundaries (which
     signals a non-cycle or a wrong basis).  One elimination serves all.
     """
     if not cycles:
         return []
-    ops = cx.ops
-    zero, n = ops.coeff(0), len(reps)
-    return [None if sol is None else [sol.get(k, zero) for k in range(n)]
-            for sol in ops.solve(reps + cx.columns(h - 1), cycles)]
+    n = len(reps)
+    return [None if sol is None else
+            {k: sol[k] for k in sorted(sol) if k < n and sol[k]}
+            for sol in cx.ops.solve(reps + cx.columns(h - 1), cycles)]
 
 
 @dataclass
@@ -217,14 +219,14 @@ class SublevelHomology:
     """H^h(C^{≥q}) with the maps j (to H^h(C)) and p (to H^h(gr_q C)).
 
     ``reps`` are cycle representatives in original-complex coordinates;
-    ``j_mat``/``p_mat`` hold one coordinate vector per representative in
-    the bases of H^h(C) and H^h(gr_q C) that :func:`sublevel_homology`
-    was given.
+    ``j_mat``/``p_mat`` hold one sparse :func:`class_coords` column per
+    representative, over the bases of H^h(C) and H^h(gr_q C) that
+    :func:`sublevel_homology` was given.
     """
 
     reps: list[Column]
-    j_mat: list[list]
-    p_mat: list[list]
+    j_mat: list[Column]
+    p_mat: list[Column]
 
 
 def sublevel_homology(cx: FilteredComplex, q: int, h: int,

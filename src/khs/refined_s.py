@@ -165,12 +165,11 @@ class _Pipeline:
         self.cx = self.dec.reduced
         self.full_reps = homology_reps(self.cx, 0)
         # [𝔰_𝔬] and [𝔰_𝔬̄] as sparse columns over the basis full_reps
-        coords = class_coords(self.cx, 0, self.full_reps,
+        self.w = class_coords(self.cx, 0, self.full_reps,
                               [push_chain(self.dec, 0, c) for c in canon])
-        if None in coords:
+        if None in self.w:
             raise AssertionError(self._failure(
                 "canonical chain is not a cycle of C", None))
-        self.w = [{i: v for i, v in enumerate(c) if v} for c in coords]
         if self.ops.rank(self.w) != 2:
             raise AssertionError(self._failure(
                 "canonical classes are not independent", None))
@@ -201,10 +200,10 @@ class _Pipeline:
             self._gr_cache[q] = (gcx, gkeep, homology_reps(gcx, 0))
         return self._gr_cache[q]
 
-    def theta_data(self, q: int) -> list[tuple[Column, list]]:
+    def theta_data(self, q: int) -> list[tuple[Column, Column]]:
         """Per Sq¹-source basis class: (source cycle in original Khovanov
-        coordinates at degree −1, coordinates of its Sq¹ image in the
-        gr-homology basis of :meth:`gr`).
+        coordinates at degree −1, sparse coordinates of its Sq¹ image in
+        the gr-homology basis of :meth:`gr`).
 
         Over 𝔽₂, gr_q of the Bar-Natan cube is the mod-2 Khovanov slice.
         The lift out of the reduction is a filtered chain map, so the
@@ -254,13 +253,13 @@ class _Pipeline:
             return self._system_cache[key]
         SH = self.sh(q)
         nfull = len(self.full_reps)
-        ngr = len(self.gr(q)[2]) if mode != "plain" else 0
-        # j coordinates have length nfull, so p coordinate g is row nfull+g
-        cols = [{t: v for t, v in enumerate(j + p[:ngr]) if v}
-                for j, p in zip(SH.j_mat, SH.p_mat)]
+        # j coordinates are below nfull, so p coordinate g is row nfull+g
+        cols = list(SH.j_mat) if mode == "plain" else [
+            j | {nfull + g: v for g, v in p.items()}
+            for j, p in zip(SH.j_mat, SH.p_mat)]
         n_a = len(cols)
         if mode == "sq1":
-            cols += [{nfull + g: -v for g, v in enumerate(coords) if v}
+            cols += [{nfull + g: -v for g, v in coords.items()}
                      for _, coords in self.theta_data(q)]
         self._system_cache[key] = cols, n_a
         return cols, n_a
@@ -482,7 +481,7 @@ def sq1_vanishing_hypothesis(t: OrientedLinkDiagram, s: int) -> bool:
         return True
     zsl, _ = q_slice(build_complex(t, "khovanov", "Z").complex, s - 1)
     zdec = filtered_reduce(zsl)
-    return all(sq1(zdec, i).rank == 0 for i in (0, 1))
+    return all(not col for i in (0, 1) for col in sq1(zdec, i))
 
 
 def disjoint_union_check(left: OrientedLinkDiagram,

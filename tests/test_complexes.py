@@ -7,10 +7,15 @@ from itertools import zip_longest
 
 import pytest
 
+import khs.bockstein
+import khs.complexes
+import khs.refined_s
+from khs.bockstein import sq1_table
 from khs.complexes import (
     Column,
     DecomposedComplex,
     FilteredComplex,
+    class_coords,
     filtered_reduce,
     homology_reps,
     lift_chain,
@@ -20,7 +25,8 @@ from khs.complexes import (
     sublevel_homology,
 )
 from khs.cube import build_complex
-from khs.links import TorusLinkSpec, torus_link, trefoil
+from khs.linalg import GF2
+from khs.links import TorusLinkSpec, parse_pd, torus_link, trefoil
 from khs.refined_s import _diagram_pipeline
 from khs.tables import builtin_diagram
 from tests.conftest import small_braid
@@ -105,7 +111,6 @@ def test_push_then_lift_is_homologous():
     rng = random.Random(5)
     h = 0
     reps = homology_reps(cx, h)
-    from khs.complexes import class_coords
     for _ in range(5):
         # random cycle: take a rep combination
         vec = {}
@@ -121,15 +126,85 @@ def test_push_then_lift_is_homologous():
 
 
 def test_sublevel_homology_maps():
-    # [DERIVED] for the Bar-Natan complex of the trefoil the sublevel
-    # inclusion j at the top filtration level of H^0 has rank 1 at q = s-1.
+    # [DERIVED] for the Bar-Natan complex of the trefoil over GF(2), s = 2:
+    # the sublevel inclusion j: H^0(C^{≥q}) → H^0(C) has rank 2 at
+    # q = s-1 (full), 1 at q = s+1 (half-full) and 0 at q = s+3.
     cx = build_complex(trefoil(), "bar_natan", "gf2").complex
-    gr, gkeep = q_slice(cx, 1)  # q = s - 1 = 1
-    sh = sublevel_homology(cx, 1, 0, homology_reps(cx, 0), gr, gkeep,
-                           homology_reps(gr, 0))
-    assert sh.j_mat  # nonempty inclusion data
+    full_reps = homology_reps(cx, 0)
+    for q, rank in ((1, 2), (3, 1), (5, 0)):
+        gr, gkeep = q_slice(cx, q)
+        sh = sublevel_homology(cx, q, 0, full_reps, gr, gkeep,
+                               homology_reps(gr, 0))
+        assert GF2.rank(sh.j_mat) == rank, q
     # H^0 of the Bar-Natan complex of a knot is 2-dimensional
     assert cx.betti(0) == 2
+
+
+def _dense_class_coords(cx, h, reps, cycles):
+    """class_coords as first written: one dense coordinate list per
+    cycle, zeros included."""
+    if not cycles:
+        return []
+    ops = cx.ops
+    zero, n = ops.coeff(0), len(reps)
+    return [None if sol is None else [sol.get(k, zero) for k in range(n)]
+            for sol in ops.solve(reps + cx.columns(h - 1), cycles)]
+
+
+def _check_sparse_coords(cx, h, reps, cycles, got):
+    """``got`` has increasing keys, no zeros, and is the dense reference
+    with its zeros dropped."""
+    want = [None if c is None else {k: v for k, v in enumerate(c) if v}
+            for c in _dense_class_coords(cx, h, reps, cycles)]
+    assert got == want
+    for col in got:
+        if col is not None:
+            assert list(col) == sorted(col) and all(col.values())
+            assert all(0 <= k < len(reps) for k in col)
+
+
+def test_class_coords_are_sparse_dense_reference_columns(monkeypatch):
+    # [DERIVED] every class_coords call the pipeline (and, over GF(2),
+    # the Sq¹ data and sq1_table) makes on the builtins, the unlinks
+    # loops=2..6 and seeded mixed-sign closures returns sparse columns
+    # with increasing keys and no zero values, equal to the first,
+    # dense class_coords with zeros dropped; so every solve column, and
+    # every solution, is the one the dense coordinates gave.
+    links = {name: builtin_diagram(name) for name in
+             ("unknot", "trefoil", "trefoil_mirror", "hopf", "hopf_neg",
+              "torus:3:1", "9_42")}
+    for n in range(2, 7):
+        links[f"loops={n}"] = parse_pd(f"| loops={n}")
+    rng = random.Random(36)
+    while len(links) < 17:
+        word = [rng.choice((1, -1)) * rng.randrange(1, 3)
+                for _ in range(rng.randint(4, 7))]
+        if min(word) > 0 or max(word) < 0:
+            continue
+        rev = [s for s in (1, 2, 3) if rng.random() < 0.3]
+        links[tuple(word), tuple(rev)] = small_braid(word, 3, rev)
+    calls = []
+
+    def spy(cx, h, reps, cycles):
+        got = class_coords(cx, h, reps, cycles)
+        _check_sparse_coords(cx, h, reps, cycles, got)
+        calls.append(sum(map(len, filter(None, got))))
+        return got
+
+    for module in (khs.complexes, khs.refined_s, khs.bockstein):
+        monkeypatch.setattr(module, "class_coords", spy)
+    for name, d in links.items():
+        for char, mode in ((0, "zero"), (2, "sq1")):
+            _diagram_pipeline(d, char)[0].invariants(mode)
+        sq1_table(d)
+    assert len(calls) > 500 and sum(calls) > 2000
+    # a non-cycle still gives None, in place
+    cx = build_complex(trefoil(), "bar_natan", "gf2").complex
+    reps = homology_reps(cx, 0)
+    odd = next({j: 1} for j, col in enumerate(cx.columns(0)) if col)
+    got = class_coords(cx, 0, reps, [reps[0], odd])
+    assert got[0] == {0: 1} and got[1] is None
+    _check_sparse_coords(cx, 0, reps, [reps[0], odd], got)
 
 
 def test_reduce_on_braid_corpus():
@@ -187,8 +262,9 @@ def test_reduction_order_of_the_9_42_deformed_cube(char, digest):
      "b834e0457891c8de1b175b260b31162918ba23a0eef2559cab40edea7ca220fa"),
 ])
 def test_reduction_order_of_integral_q_slices(name, digest):
-    # [DERIVED] as above, for every integral q-slice (the ℤ table and the
-    # Sq¹ data reduce these); one digest over the slices in q order.
+    # [DERIVED] as above, for every integral q-slice (the ℤ table,
+    # sq1_table and sq1_vanishing_hypothesis reduce these; no printed
+    # chain depends on them); one digest over the slices in q order.
     cx = build_complex(builtin_diagram(name), "khovanov", "Z").complex
     h = hashlib.sha256()
     for q in sorted({q for lv in cx.levels.values() for q in lv}):

@@ -1,5 +1,6 @@
 """Smoke tests of the example scripts under ``scripts/``."""
 
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -84,3 +85,17 @@ def test_bench_pairs_summary():
     one = mod.summarize(pairs[:1], metrics)["op_s.p50"]
     assert (one["parent_q1"], one["change_q3"], one["wins"]) == (1.0, 0.5, 1)
     assert one["gain_rule"]
+
+
+def test_stdout_digests():
+    # [DERIVED] one line per input and field: the builtins come first, and
+    # each md5 is that of the same compute run made here.
+    lines = run_script("scripts/stdout_digests.py", "--limit", "2")
+    rows = [line.split() for line in lines]
+    assert [r[:4] for r in rows] == [
+        [name, char, theta, "0"] for name in ("empty", "unknot")
+        for char, theta in (("2", "sq1"), ("0", "zero"), ("2", "zero"))]
+    out = run_script("-m", "khs", "compute", "--link", "unknot", "--char",
+                     "0", "--theta", "zero", "--format", "json")
+    md5 = hashlib.md5(("\n".join(out) + "\n").encode()).hexdigest()
+    assert rows[4][4] == md5
